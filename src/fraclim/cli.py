@@ -249,20 +249,13 @@ def cmd_leibniz(args) -> int:
             series_values.append(sr.value)
             defects.append(ref - sr.value)
             residual = max(residual, sr.residual)
-        resolved_K = args.k_max
-        if resolved_K is None:
-            # reconstruct the default the series used
-            from .funcmodel import polynomial_degree
-
-            degf, degg = polynomial_degree(f), polynomial_degree(g)
-            resolved_K = degf + degg if (degf is not None and degg is not None) else 12
         report = LeibnizReport(
             alpha=order,
             points=points,
             defect=tuple(defects),
             max_abs_defect=max(abs(d) for d in defects),
             rule_form=RULE_SYMMETRIZED,
-            truncation_K=resolved_K,
+            truncation_K=sr.K,
             series_residual=residual,
         )
     if args.output == "json":

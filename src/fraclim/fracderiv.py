@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DomainError, UnsupportedFunction
 from .funcmodel import FuncExpr, PowerTerm, derivative, evaluate, evaluate_many
-from .kernels import product_quad_uniform
+from .kernels import product_quad_rows
 from .specfun import FracOrder, as_order, gamma, rgamma
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "QuadratureConfig",
     "caputo_closed",
     "caputo_derivative",
+    "caputo_from_nth",
     "caputo_power",
     "caputo_power_coefficient",
     "caputo_quadrature",
@@ -47,6 +48,7 @@ __all__ = [
     "rl_derivative",
     "rl_power",
     "rl_power_value",
+    "singular_integral",
 ]
 
 KIND_CAPUTO = "Caputo"
@@ -93,8 +95,16 @@ class DerivResult:
 
 
 def _check_interval(a, x):
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise DomainError(f"a and x must be finite, got x={x!r}, a={a!r}")
     if not x > a:
         raise DomainError(f"evaluation point must satisfy x > a, got x={x!r}, a={a!r}")
+
+
+def _check_gap(a, x, cfg):
+    _check_interval(a, x)
+    if x - a < cfg.min_gap:
+        raise DomainError(f"x - a = {x - a!r} is below min_gap = {cfg.min_gap!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +210,96 @@ def rl_closed(f: FuncExpr, alpha, a: float, x: float) -> DerivResult:
 # ---------------------------------------------------------------------------
 # quadrature
 
+# Grids are sampled in row blocks of at most this many points, which bounds
+# the sampler's temporaries whatever the node count and the number of points.
+_BLOCK_POINTS = 1 << 15
+
+
+def _sample(sampler, a, xs, n):
+    """The sampler on the n-subinterval grids of [a, x] for every x in xs,
+    one grid a row.  The grids are those of np.linspace(a, xs, n + 1, axis=1),
+    built by the same arithmetic without its generic set-up, which costs more
+    than the sampling itself on a one-point call."""
+    grid = np.arange(n + 1.0) * ((xs - a) / n)[:, None]
+    grid += a
+    grid[:, -1] = xs
+    return np.asarray(sampler(grid.ravel()), dtype=np.float64).reshape(grid.shape)
+
+
+def singular_integral(sampler, order: float, a: float, xs,
+                      cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True):
+    """Riemann-Liouville integral of positive ``order`` at every x in ``xs``,
+
+        (1 / Gamma(order)) * integral_a^x (x - z)^(order - 1) g(z) dz,
+
+    by the product-trapezoid rule on cfg.nodes subintervals.  ``sampler``
+    maps a 1-d array of points z to g(z).  Returns two arrays: the values
+    and the Richardson estimates |I(N) - I(N/2)| / 3, which follow from the
+    rule's O(h^2) convergence; with ``estimate=False`` the half-resolution
+    pass is skipped and the second array is None.  Every Caputo quadrature
+    and fractional integral in the package goes through here.
+    """
+    if not order > 0.0:
+        raise DomainError(f"integral order must be positive, got {order!r}")
+    a = float(a)
+    xs = np.array(xs, dtype=np.float64).reshape(-1)
+    for x in xs.tolist():
+        _check_gap(a, x, cfg)
+    mu = order - 1.0
+    scale = rgamma(order)
+    nodes = cfg.nodes
+    half = nodes // 2
+    values = np.empty(xs.shape)
+    est_errors = np.empty(xs.shape) if estimate else None
+    rows = max(1, _BLOCK_POINTS // (nodes + 1))
+    for i in range(0, xs.shape[0], rows):
+        x = xs[i:i + rows]
+        v = _sample(sampler, a, x, nodes)
+        fine = scale * product_quad_rows(v, (x - a) / nodes, mu)
+        values[i:i + rows] = fine
+        if estimate:
+            vc = v[:, ::2] if nodes % 2 == 0 else _sample(sampler, a, x, half)
+            coarse = scale * product_quad_rows(vc, (x - a) / half, mu)
+            est_errors[i:i + rows] = np.abs(fine - coarse) / 3.0
+    return values, est_errors
+
+
+def caputo_from_nth(fn: FuncExpr, alpha, a: float, xs,
+                    cfg: QuadratureConfig = QuadratureConfig()):
+    """Caputo derivative at every x in ``xs`` of a function whose n-th
+    derivative is ``fn``, as arrays of values and error estimates.
+
+    Integer alpha takes the exact fn(x) with estimate 0 (the singular integral
+    degenerates there: Gamma(n - alpha) has a pole); fractional alpha is the
+    integral of order n - alpha of fn, through ``singular_integral``.
+    """
+    alpha = as_order(alpha)
+    if alpha.is_integer:
+        for x in xs:
+            _check_gap(a, x, cfg)
+        return np.array([evaluate(fn, x) for x in xs]), np.zeros(len(xs))
+    return singular_integral(lambda zs: evaluate_many(fn, zs), alpha.n - alpha.alpha,
+                             a, xs, cfg)
+
 
 def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
     """Caputo derivative by product integration of the exact n-th derivative.
 
-    Integer alpha dispatches to the exact symbolic derivative (the singular
-    integral degenerates there: Gamma(n - alpha) has a pole).  For fractional
-    alpha the estimate ``est_error = |value(N) - value(N/2)| / 3`` follows
-    from the O(h^2) convergence of the product-trapezoid rule.
+    Integer alpha dispatches to the exact symbolic derivative.  For
+    fractional alpha the estimate ``est_error = |value(N) - value(N/2)| / 3``
+    follows from the O(h^2) convergence of the product-trapezoid rule.
     """
     alpha = as_order(alpha)
-    _check_interval(a, x)
-    if x - a < cfg.min_gap:
-        raise DomainError(f"x - a = {x - a!r} is below min_gap = {cfg.min_gap!r}")
+    (value,), (est,) = caputo_from_nth(derivative(f, alpha.n), alpha, a, (x,), cfg)
     if alpha.is_integer:
-        value = evaluate(derivative(f, alpha.n), x)
-        return DerivResult(value, KIND_CAPUTO, METHOD_CLOSED)
-    fn = derivative(f, alpha.n)
-    return caputo_quadrature_fn(lambda zs: evaluate_many(fn, zs), alpha, a, x, cfg)
+        return DerivResult(float(value), KIND_CAPUTO, METHOD_CLOSED)
+    return DerivResult(float(value), KIND_CAPUTO, METHOD_QUAD, float(est))
 
 
 def caputo_quadrature_fn(nth_derivative_values, alpha, a: float, x: float,
                          cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """Quadrature core taking a callable that samples f^(n) on a grid.
+    """One-point Caputo quadrature from a callable that samples f^(n) on a grid.
 
     Used directly when f^(n) is only available pointwise, e.g. the general
     Leibniz expansion of a product.  Requires non-integer alpha.
@@ -231,40 +307,20 @@ def caputo_quadrature_fn(nth_derivative_values, alpha, a: float, x: float,
     alpha = as_order(alpha)
     if alpha.is_integer:
         raise DomainError("quadrature core needs a non-integer order")
-    n = alpha.n
-    mu = n - alpha.alpha - 1.0
-    scale = rgamma(n - alpha.alpha)
-    nodes = cfg.nodes
-    zs = np.linspace(a, x, nodes + 1)
-    v = np.ascontiguousarray(nth_derivative_values(zs), dtype=np.float64)
-    fine = scale * product_quad_uniform(v, (x - a) / nodes, mu)
-    half = nodes // 2
-    if nodes % 2 == 0:
-        vc = np.ascontiguousarray(v[::2])
-    else:
-        zc = np.linspace(a, x, half + 1)
-        vc = np.ascontiguousarray(nth_derivative_values(zc), dtype=np.float64)
-    coarse = scale * product_quad_uniform(vc, (x - a) / half, mu)
-    return DerivResult(fine, KIND_CAPUTO, METHOD_QUAD, abs(fine - coarse) / 3.0)
+    (value,), (est,) = singular_integral(nth_derivative_values, alpha.n - alpha.alpha,
+                                         a, (x,), cfg)
+    return DerivResult(float(value), KIND_CAPUTO, METHOD_QUAD, float(est))
 
 
 def fractional_integral_fn(function_values, order: float, a: float, x: float,
                            cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Riemann-Liouville integral of positive order for a sampled function.
 
-    The kernel exponent order - 1 exceeds -1, so the same product rule
-    applies; no Richardson estimate is kept (callers track convergence via
-    their own series diagnostics).
+    The one-point case of ``singular_integral``, without the Richardson
+    estimate (callers track convergence via their own series diagnostics).
     """
-    if not order > 0.0:
-        raise DomainError(f"integral order must be positive, got {order!r}")
-    _check_interval(a, x)
-    if x - a < cfg.min_gap:
-        raise DomainError(f"x - a = {x - a!r} is below min_gap = {cfg.min_gap!r}")
-    nodes = cfg.nodes
-    zs = np.linspace(a, x, nodes + 1)
-    v = np.ascontiguousarray(function_values(zs), dtype=np.float64)
-    return rgamma(order) * product_quad_uniform(v, (x - a) / nodes, order - 1.0)
+    (value,), _ = singular_integral(function_values, order, a, (x,), cfg, estimate=False)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,8 @@ def parse_expr(text: str, field: str | None = None) -> FuncExpr:
                     kw[key] = float(val.strip())
                 except ValueError:
                     fail(f"term {name!r}: bad number for {key!r}: {val.strip()!r}")
+                if not math.isfinite(kw[key]):
+                    fail(f"term {name!r}: {key!r} must be finite, got {val.strip()!r}")
         for key, val in kw.items():
             if val is None:
                 fail(f"term {name!r}: missing parameter {key!r}")

@@ -94,12 +94,14 @@ class LeibnizReport:
 class SeriesResult:
     """Partial sum of the symmetrized series through k = K.
 
-    ``residual`` is |term_K|; ``nonconvergent`` flags |term_k| growing over
-    the last three terms (the truncation is then meaningless).
+    ``residual`` is |term_K|; ``K`` is the truncation used, the default
+    resolved; ``nonconvergent`` flags |term_k| growing over the last three
+    terms (the truncation is then meaningless).
     """
 
     value: float
     residual: float
+    K: int
     nonconvergent: bool = False
 
     def __iter__(self):
@@ -108,6 +110,18 @@ class SeriesResult:
 
 # ---------------------------------------------------------------------------
 # operator dispatch helpers
+
+
+def _check_points(a, points):
+    """DomainError unless a and every point are finite, with each point > a."""
+    if not points:
+        raise DomainError("need at least one evaluation point")
+    if not all(math.isfinite(v) for v in (a, *points)):
+        raise DomainError(f"a and the evaluation points must be finite, got a={a!r}, "
+                          f"points={points!r}")
+    if any(not x > a for x in points):
+        raise DomainError(f"every evaluation point must lie right of a={a!r}, "
+                          f"got {points!r}")
 
 
 def _d_point(f, alpha, a, x, cfg, operator):
@@ -170,7 +184,10 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     """Riemann-Liouville derivative of the product fg (reference side of the
     symmetrized-series identity)."""
     alpha = as_order(alpha)
-    return _d_product_point(f, g, alpha, float(a), float(x), cfg, "rl")
+    a = float(a)
+    x = float(x)
+    _check_points(a, (x,))
+    return _d_product_point(f, g, alpha, a, x, cfg, "rl")
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +207,7 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     alpha = as_order(alpha)
     a = float(a)
     pts = tuple(float(p) for p in points)
-    if not pts:
-        raise DomainError("need at least one evaluation point")
-    if any(p <= a for p in pts):
-        raise DomainError("every evaluation point must lie right of a")
+    _check_points(a, pts)
     defects = []
     for x in pts:
         dfg = _d_product_point(f, g, alpha, a, x, cfg, operator)
@@ -216,6 +230,8 @@ def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"evaluation point must be finite, got {x!r}")
     total = 0.0
     for k in range(n + 1):
         total += (
@@ -250,8 +266,7 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     alpha = as_order(alpha)
     a = float(a)
     x = float(x)
-    if not x > a:
-        raise DomainError(f"evaluation point must satisfy x > a, got x={x!r}, a={a!r}")
+    _check_points(a, (x,))
     if K is None:
         degf = polynomial_degree(f)
         degg = polynomial_degree(g)
@@ -261,9 +276,10 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
             K = _DEFAULT_TRUNCATION
     if K != int(K) or K < 0:
         raise DomainError(f"K must be a non-negative integer, got {K!r}")
+    K = int(K)
     terms = []
     total = 0.0
-    for k in range(int(K) + 1):
+    for k in range(K + 1):
         b = frac_binomial(alpha.alpha, k, halved=True)
         if b == 0.0:
             term = 0.0
@@ -276,4 +292,4 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
         terms.append(term)
         total += term
     growing = len(terms) >= 3 and abs(terms[-1]) > abs(terms[-2]) > abs(terms[-3])
-    return SeriesResult(total, abs(terms[-1]), growing)
+    return SeriesResult(total, abs(terms[-1]), K, growing)

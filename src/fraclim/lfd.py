@@ -25,8 +25,8 @@ from .exceptions import DomainError, InsufficientData
 from .fracderiv import (
     QuadratureConfig,
     caputo_closed,
+    caputo_from_nth,
     caputo_power_coefficient,
-    caputo_quadrature,
     closed_form_applicable,
     power_parts,
 )
@@ -127,25 +127,47 @@ class LfdReport:
         return buf.getvalue()
 
 
+def _base_point(a) -> float:
+    a = float(a)
+    if not math.isfinite(a):
+        raise DomainError(f"base point must be finite, got {a!r}")
+    return a
+
+
+def _scan(f: FuncExpr, alpha: FracOrder, a: float, cfg: ScanConfig):
+    """The scan's samples, and f^(n) or None when it leaves the function
+    class (only the closed route survives that).
+
+    The closed form is used when f is a power sum centered at a.  Otherwise
+    f^(n) is derived once and the whole scan is one ``caputo_from_nth`` call:
+    the exact f^(n)(x) at an integer order, product-integration quadrature
+    with cfg.quad at a fractional one.
+    """
+    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
+    if closed_form_applicable(f, a):
+        values = [caputo_closed(f, alpha, a, x).value for x in xs]
+        est_errors = [0.0] * len(xs)
+        try:
+            fn = derivative(f, alpha.n)
+        except DomainError:
+            fn = None
+    else:
+        fn = derivative(f, alpha.n)
+        values, est_errors = caputo_from_nth(fn, alpha, a, xs, cfg.quad)
+    samples = [
+        LfdSample(x, float(v), float(e), x - a, not e > abs(v))
+        for x, v, e in zip(xs, values, est_errors)
+    ]
+    return samples, fn
+
+
 def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> list:
     """Sample the Caputo derivative along the geometric sequence.
 
     Each point uses the closed form when f is a power sum centered at a,
     else product-integration quadrature with cfg.quad.
     """
-    alpha = as_order(alpha)
-    a = float(a)
-    use_closed = closed_form_applicable(f, a)
-    samples = []
-    for k in range(cfg.count):
-        x = a + cfg.h0 * cfg.ratio**k
-        if use_closed:
-            r = caputo_closed(f, alpha, a, x)
-        else:
-            r = caputo_quadrature(f, alpha, a, x, cfg.quad)
-        est = r.est_error if r.est_error is not None else 0.0
-        samples.append(LfdSample(x, r.value, est, x - a, not est > abs(r.value)))
-    return samples
+    return _scan(f, as_order(alpha), _base_point(a), cfg)[0]
 
 
 def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
@@ -195,7 +217,7 @@ def lfd_exact(f: FuncExpr, alpha, a: float) -> Classification:
     alpha = as_order(alpha)
     finite_total = 0.0
     any_finite = False
-    for c, beta in power_parts(f, float(a)):
+    for c, beta in power_parts(f, _base_point(a)):
         coef = c * caputo_power_coefficient(beta, alpha)
         if coef == 0.0:
             continue
@@ -216,12 +238,13 @@ def lfd_report(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig(),
                exponent_tol: float = 0.05) -> LfdReport:
     """Scan plus classification, with the theory-side fields filled in."""
     alpha = as_order(alpha)
-    a = float(a)
-    samples = lfd_scan(f, alpha, a, cfg)
-    try:
-        fn_a = evaluate(derivative(f, alpha.n), a)
-        theory_prefactor = fn_a * rgamma(alpha.n + 1.0 - alpha.alpha)
-    except DomainError:
-        theory_prefactor = None
+    a = _base_point(a)
+    samples, fn = _scan(f, alpha, a, cfg)
+    theory_prefactor = None
+    if fn is not None:
+        try:
+            theory_prefactor = evaluate(fn, a) * rgamma(alpha.n + 1.0 - alpha.alpha)
+        except DomainError:
+            pass
     return lfd_classify(samples, alpha, exponent_tol=exponent_tol,
                         theory_prefactor=theory_prefactor)

@@ -1,10 +1,11 @@
 """Gamma-function machinery for fractional-order coefficients.
 
-Everything here is scalar, pure and stateless.  ``gamma`` uses a Lanczos
-approximation with reflection left of 1/2; ``rgamma`` extends the reciprocal
-continuously through the poles (where it is exactly zero), which is what
-makes the fractional binomial coefficients and the power-rule prefactors
-vanish in the right places without special-casing every caller.
+Everything here is scalar, pure and stateless.  ``gamma`` is ``math.gamma``
+with a PoleError at the poles and a signed infinity on overflow; ``rgamma``
+extends the reciprocal continuously through the poles (where it is exactly
+zero), which is what makes the fractional binomial coefficients and the
+power-rule prefactors vanish in the right places without special-casing
+every caller.
 """
 
 from __future__ import annotations
@@ -15,30 +16,6 @@ from dataclasses import dataclass, field
 from .exceptions import DomainError, PoleError
 
 __all__ = ["FracOrder", "as_order", "frac_binomial", "gamma", "rgamma"]
-
-# Lanczos coefficients for g = 607/128, the classic 15-term set.  The more
-# widely copied g = 7 set has only 9 terms and a slightly worse error floor;
-# this one keeps the relative error of gamma() below ~1e-13 across (0, 171],
-# which is what the accuracy contract here needs.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -73,32 +50,6 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with explicit argument reduction, exact at integers.
-    r = math.fmod(x, 2.0)
-    if r < 0.0:
-        r += 2.0
-    if r < 0.5:
-        return math.sin(math.pi * r)
-    if r <= 1.5:
-        return math.sin(math.pi * (1.0 - r))
-    return -math.sin(math.pi * (2.0 - r))
-
-
-def _lanczos(x: float) -> float:
-    # Core series, valid for x >= 0.5.  The exp/log form keeps Gamma(171)
-    # clear of double overflow in the intermediate power.
-    z = x - 1.0
-    ser = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        ser += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    try:
-        return _SQRT_TWO_PI * ser * math.exp((z + 0.5) * math.log(t) - t)
-    except OverflowError:
-        return math.inf
-
-
 def gamma(x: float) -> float:
     """Gamma(x) for real x away from the poles.
 
@@ -113,10 +64,11 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma argument must be finite, got {x!r}")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * _lanczos(1.0 - x))
-    return _lanczos(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        # past x ~ 171.6, or within a subnormal of the pole at 0
+        return math.copysign(math.inf, x)
 
 
 def rgamma(x: float) -> float:

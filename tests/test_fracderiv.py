@@ -24,6 +24,7 @@ from fraclim.fracderiv import (
     QuadratureConfig,
     caputo_closed,
     caputo_derivative,
+    caputo_from_nth,
     caputo_power,
     caputo_power_coefficient,
     caputo_quadrature,
@@ -36,6 +37,7 @@ from fraclim.fracderiv import (
     rl_derivative,
     rl_power,
     rl_power_value,
+    singular_integral,
 )
 from fraclim.funcmodel import FuncExpr, PowerTerm, parse_expr
 from fraclim.specfun import FracOrder
@@ -312,3 +314,50 @@ def test_gap_guard():
         caputo_quadrature(SIN, FracOrder(0.5), 0.0, 1e-15)
     with pytest.raises(DomainError):
         caputo_quadrature(SIN, FracOrder(0.5), 0.0, -1.0)
+
+
+@pytest.mark.parametrize("a,x", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0),
+                                 (math.nan, 1.0)])
+def test_non_finite_points_raise(a, x):
+    with pytest.raises(DomainError):
+        caputo_derivative(SIN, 0.5, a, x)
+    with pytest.raises(DomainError):
+        caputo_derivative(X2, 0.5, a, x)  # closed route
+    with pytest.raises(DomainError):
+        rl_derivative(SIN, 0.5, a, x)
+    with pytest.raises(DomainError):
+        caputo_quadrature_fn(np.cos, FracOrder(0.5), a, x)
+    with pytest.raises(DomainError):
+        fractional_integral_fn(np.cos, 0.5, a, x)
+
+
+# --- the multi-point core ---
+
+
+def test_scan_core_samples_row_blocks_on_linspace_grids():
+    seen = []
+
+    def sampler(zs):
+        seen.append(zs.copy())
+        return np.cos(zs)
+
+    nodes = 4096
+    xs = np.linspace(0.1, 2.0, 20)
+    values, _ = singular_integral(sampler, 0.5, 0.0, xs, QuadratureConfig(nodes=nodes))
+    # even nodes take the coarse grid from the fine one, so every call is a
+    # block of fine grids, and no block holds more than 2^15 points
+    assert len(seen) == 3
+    assert max(len(z) for z in seen) <= 1 << 15
+    assert np.array_equal(np.concatenate(seen),
+                          np.linspace(0.0, xs, nodes + 1, axis=1).ravel())
+    for x, v in zip(xs, values):
+        assert v == pytest.approx(
+            fractional_integral_fn(np.cos, 0.5, 0.0, x, QuadratureConfig(nodes=nodes)),
+            rel=1e-13)
+
+
+def test_scan_core_validation():
+    with pytest.raises(DomainError):
+        caputo_from_nth(SIN, FracOrder(2.0), 0.0, [0.3, -0.1], QuadratureConfig())
+    with pytest.raises(DomainError):
+        singular_integral(np.cos, 0.0, 0.0, [0.3], QuadratureConfig())

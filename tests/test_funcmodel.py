@@ -125,6 +125,9 @@ def test_parse_split_protects_exponent_signs():
         "pow(q=1,x0=0,beta=1)",   # unknown key
         "",                       # empty
         "pow(c=1,x0=0,beta=1) + ",
+        "pow(c=nan,x0=0,beta=1)", # non-finite parameters
+        "sin(c=1,w=inf)",
+        "exp(c=1,lam=-inf)",
     ],
 )
 def test_parse_errors(text):

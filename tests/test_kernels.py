@@ -1,37 +1,38 @@
-"""Quadrature kernel: both backends against exactly integrable cases.
+"""Quadrature kernel against exactly integrable cases.
 
 The scheme integrates a piecewise-linear interpolant exactly against
 (x - z)**mu, so any linear integrand must come out to machine precision;
-B(2, 1/2) = 4/3 and B(3, 1/2) = 16/15 give rational references.
+B(2, 1/2) = 4/3 and B(3, 1/2) = 16/15 give rational references.  Every case
+runs through both entry points of the one implementation: the 1-d
+``product_quad_uniform`` and a single row of ``product_quad_rows``.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from fraclim.kernels import (
     BACKEND,
-    compiled_product_quad_uniform,
-    fallback_product_quad_uniform,
+    product_quad_rows,
     product_quad_uniform,
+    product_weights,
 )
 
-BACKENDS = [("python", fallback_product_quad_uniform)]
-if compiled_product_quad_uniform is not None:
-    BACKENDS.append(("compiled", compiled_product_quad_uniform))
+
+def product_quad_one_row(values, h, mu):
+    return float(product_quad_rows(np.asarray(values)[None, :], [h], mu)[0])
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+KERNELS = [(BACKEND, product_quad_uniform), (BACKEND, product_quad_one_row)]
+
+
+@pytest.mark.parametrize("name,kernel", KERNELS)
 def test_linear_times_sqrt_singularity(name, kernel):
     # integral of z * (1 - z)^(-1/2) over [0, 1] = B(2, 1/2) = 4/3
     v = np.array([0.0, 0.5, 1.0])
     assert kernel(v, 0.5, -0.5) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+@pytest.mark.parametrize("name,kernel", KERNELS)
 @pytest.mark.parametrize("mu", [-0.9, -0.5, -0.1, 0.0, 0.5, 1.5])
 def test_constant_integrand_exact(name, kernel, mu):
     # integral of (x - z)^mu over [0, x] = x^(mu+1) / (mu+1)
@@ -42,7 +43,7 @@ def test_constant_integrand_exact(name, kernel, mu):
     assert kernel(v, x / n, mu) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+@pytest.mark.parametrize("name,kernel", KERNELS)
 @pytest.mark.parametrize("mu", [-0.9, -0.5, 0.0, 1.0])
 def test_linear_integrand_exact_any_grid(name, kernel, mu):
     # v sampled from 2z + 3 on [0, 1]:
@@ -54,7 +55,7 @@ def test_linear_integrand_exact_any_grid(name, kernel, mu):
     assert kernel(v, 1.0 / n, mu) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+@pytest.mark.parametrize("name,kernel", KERNELS)
 def test_quadratic_second_order_convergence(name, kernel):
     # integral of z^2 (1 - z)^(-1/2) dz over [0,1] = B(3, 1/2) = 16/15
     exact = 16.0 / 15.0
@@ -67,18 +68,6 @@ def test_quadratic_second_order_convergence(name, kernel):
         assert 3.0 < r < 5.0
 
 
-def test_backends_agree():
-    if compiled_product_quad_uniform is None:
-        pytest.skip("no compiled extension in this build")
-    rng = np.random.default_rng(42)
-    for n in (2, 3, 5, 64, 1000, 4096):
-        for mu in (-0.95, -0.5, 0.0, 0.7, 2.0):
-            v = rng.standard_normal(n + 1)
-            a = fallback_product_quad_uniform(v, 1.0 / n, mu)
-            b = compiled_product_quad_uniform(v, 1.0 / n, mu)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
-
-
 def test_near_integer_exponent_is_stable():
     # p = mu + 1 close to 0 stresses the m^p - (m-1)^p differences; the
     # expm1/log1p form has to stay accurate where naive powers cancel.
@@ -87,11 +76,11 @@ def test_near_integer_exponent_is_stable():
     v = np.ones(n + 1)
     x = 1.0
     expected = x ** (mu + 1.0) / (mu + 1.0)
-    for _, kernel in BACKENDS:
+    for _, kernel in KERNELS:
         assert kernel(v, x / n, mu) == pytest.approx(expected, rel=1e-11)
 
 
-@pytest.mark.parametrize("name,kernel", BACKENDS)
+@pytest.mark.parametrize("name,kernel", KERNELS)
 def test_rejects_bad_inputs(name, kernel):
     good = np.ones(4)
     with pytest.raises(ValueError):
@@ -102,24 +91,29 @@ def test_rejects_bad_inputs(name, kernel):
         kernel(good, 0.1, -1.0)  # kernel not integrable
 
 
-def test_active_backend_consistent_with_extension():
-    if compiled_product_quad_uniform is None:
-        assert BACKEND == "python"
-        assert product_quad_uniform is fallback_product_quad_uniform
-    else:
-        assert BACKEND in ("python", "compiled")
+def test_rows_match_one_grid_at_a_time():
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal((5, 65))
+    h = rng.uniform(0.01, 1.0, 5)
+    got = product_quad_rows(v, h, -0.3)
+    for i in range(5):
+        assert got[i] == pytest.approx(product_quad_uniform(v[i], h[i], -0.3),
+                                       rel=1e-13, abs=1e-15)
+    with pytest.raises(ValueError):
+        product_quad_rows(v, h[:4], -0.3)  # one spacing per row
+    with pytest.raises(ValueError):
+        product_quad_rows(v[0], h[:1], -0.3)  # not a block
 
 
-def test_force_fallback_env(tmp_path):
-    code = (
-        "import fraclim.kernels as k; "
-        "assert k.BACKEND == 'python', k.BACKEND; "
-        "import numpy as np; "
-        "print(repr(k.product_quad_uniform(np.array([0.0, 0.5, 1.0]), 0.5, -0.5)))"
-    )
-    env = dict(os.environ, FRACLIM_FORCE_FALLBACK="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert float(out.stdout.strip()) == pytest.approx(4.0 / 3.0, rel=1e-14)
+def test_weights_are_read_only_and_cached_in_a_bounded_cache():
+    w = product_weights(16, -0.5)
+    assert w.shape == (17,)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert product_weights(16, -0.5) is w
+    maxsize = product_weights.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(2, maxsize + 12):
+        product_weights(n, 0.25)
+    assert product_weights.cache_info().currsize <= maxsize

@@ -89,6 +89,18 @@ def test_defect_validation():
         leibniz_defect(X, X, FracOrder(0.5), 0.0, (0.0,))  # point not past base
 
 
+@pytest.mark.parametrize("a,x", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
+def test_non_finite_points_raise(a, x):
+    with pytest.raises(DomainError):
+        leibniz_defect(X, SIN, FracOrder(0.5), a, (0.5, x))
+    with pytest.raises(DomainError):
+        symmetrized_series(X, SIN, FracOrder(0.5), a, x)
+    with pytest.raises(DomainError):
+        rl_of_product(SIN, SIN, FracOrder(1.0), a, x)
+    with pytest.raises(DomainError):
+        integer_leibniz(SIN, SIN, 1, math.nan)
+
+
 def test_defect_quadrature_product_route():
     # sin * exp has no polynomial expansion; the product path integrates the
     # Leibniz-expanded n-th derivative directly
@@ -166,6 +178,9 @@ def test_series_default_truncation_for_polynomials():
     sr = symmetrized_series(X, X, FracOrder(0.5), 0.0, 1.0)
     assert sr.value == pytest.approx(SERIES_XX_HALF_AT_1, abs=1e-9)
     assert sr.residual == 0.0
+    assert sr.K == 2
+    assert symmetrized_series(X, SIN, FracOrder(0.5), 0.0, 1.0).K == 12
+    assert symmetrized_series(X, SIN, FracOrder(0.5), 0.0, 1.0, K=3).K == 3
 
 
 def test_series_flags_nonconvergence():

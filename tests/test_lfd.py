@@ -7,7 +7,7 @@ import math
 import pytest
 
 from fraclim.exceptions import DomainError, InsufficientData
-from fraclim.fracderiv import QuadratureConfig
+from fraclim.fracderiv import QuadratureConfig, caputo_quadrature
 from fraclim.funcmodel import parse_expr
 from fraclim.lfd import (
     CLASS_DIVERGENT,
@@ -38,6 +38,40 @@ def test_scan_closed_route_has_zero_est_error():
     samples = lfd_scan(X2, FracOrder(0.5), 0.0, FAST_CFG)
     assert all(s.est_error == 0.0 for s in samples)
     assert all(s.usable for s in samples)
+
+
+def test_scan_integer_order_takes_the_exact_derivative():
+    samples = lfd_scan(SIN, FracOrder(1.0), 0.0, FAST_CFG)
+    assert [s.value for s in samples] == [math.cos(s.x) for s in samples]
+    assert all(s.est_error == 0.0 for s in samples)
+
+
+@pytest.mark.parametrize("nodes", [512, 511])
+def test_scan_matches_pointwise_quadrature(nodes):
+    f = parse_expr("cos(c=2,w=1.5,phi=0.3) + exp(c=1,lam=-0.8)")
+    cfg = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=nodes))
+    for alpha in (0.4, 2.6):
+        for s in lfd_scan(f, FracOrder(alpha), 0.5, cfg):
+            one = caputo_quadrature(f, FracOrder(alpha), 0.5, s.x, cfg.quad)
+            assert s.value == pytest.approx(one.value, rel=1e-13)
+            assert s.est_error == pytest.approx(one.est_error, rel=1e-13, abs=1e-300)
+
+
+def test_mixed_fractional_power_sum_still_raises():
+    # f' holds (x - a)^-0.7, which the quadrature samples at z = a
+    f = parse_expr("pow(c=1,x0=0,beta=0.3) + sin(c=1,w=1)")
+    with pytest.raises(DomainError):
+        lfd_report(f, FracOrder(0.7), 0.0, FAST_CFG)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_non_finite_base_point_raises(a):
+    with pytest.raises(DomainError):
+        lfd_report(SIN, FracOrder(0.5), a, FAST_CFG)
+    with pytest.raises(DomainError):
+        lfd_scan(X2, FracOrder(0.5), a, FAST_CFG)
+    with pytest.raises(DomainError):
+        lfd_exact(X2, FracOrder(0.5), a)
 
 
 def test_smooth_fractional_order_goes_to_zero():
