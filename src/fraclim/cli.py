@@ -23,14 +23,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .exceptions import DomainError, ExprParseError, FraclimError
+from .exceptions import ExprParseError, FraclimError
 from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
-from .funcmodel import derivative, evaluate, format_expr, parse_expr, poly_product
+from .funcmodel import derivative, evaluate, format_expr, parse_expr
 from .leibniz import (
-    RULE_INTEGER_SUM,
     RULE_SYMMETRIZED,
     LeibnizReport,
-    integer_leibniz,
+    integer_leibniz_report,
     leibniz_defect,
     rl_of_product,
     symmetrized_series,
@@ -222,23 +221,7 @@ def cmd_leibniz(args) -> int:
     if args.rule == "defect":
         report = leibniz_defect(f, g, order, args.a, points, cfg, operator=args.operator)
     elif args.rule == "integer":
-        if not order.is_integer:
-            raise DomainError(
-                f"--rule integer needs an integer alpha, got {order.alpha!r}"
-            )
-        n = order.n
-        reference = poly_product(f, g)  # raises UnsupportedProduct for non-polynomials
-        defects = []
-        for x in points:
-            exact = evaluate(derivative(reference, n), x)
-            defects.append(exact - integer_leibniz(f, g, n, x))
-        report = LeibnizReport(
-            alpha=order,
-            points=points,
-            defect=tuple(defects),
-            max_abs_defect=max(abs(d) for d in defects),
-            rule_form=RULE_INTEGER_SUM,
-        )
+        report = integer_leibniz_report(f, g, order, points)
     else:  # series
         defects = []
         series_values = []

@@ -14,8 +14,7 @@ boundary-term bridge
 
 whose 1/Gamma(k+1-alpha) coefficients are forced by the power-rule oracle
 (the per-term RL power rule); the superficially plausible 1/k! variant fails
-it and is kept only behind ``boundary="factorial"`` so a regression test can
-document the failure.
+it.  ``boundary_terms`` is the one place that sum is computed.
 """
 
 from __future__ import annotations
@@ -33,13 +32,13 @@ from .specfun import FracOrder, as_order, gamma, rgamma
 __all__ = [
     "DerivResult",
     "QuadratureConfig",
+    "boundary_terms",
     "caputo_closed",
     "caputo_derivative",
     "caputo_from_nth",
     "caputo_power",
     "caputo_power_coefficient",
     "caputo_quadrature",
-    "caputo_quadrature_fn",
     "closed_form_applicable",
     "fractional_integral_fn",
     "power_parts",
@@ -264,22 +263,23 @@ def singular_integral(sampler, order: float, a: float, xs,
     return values, est_errors
 
 
-def caputo_from_nth(fn: FuncExpr, alpha, a: float, xs,
+def caputo_from_nth(sampler, alpha, a: float, xs,
                     cfg: QuadratureConfig = QuadratureConfig()):
-    """Caputo derivative at every x in ``xs`` of a function whose n-th
-    derivative is ``fn``, as arrays of values and error estimates.
+    """Caputo derivative at every x in ``xs`` of a function f, as arrays of
+    values and error estimates; ``sampler`` maps a 1-d array of points z to
+    f^(n)(z).
 
-    Integer alpha takes the exact fn(x) with estimate 0 (the singular integral
-    degenerates there: Gamma(n - alpha) has a pole); fractional alpha is the
-    integral of order n - alpha of fn, through ``singular_integral``.
+    Integer alpha takes the exact sampler(xs) with estimate 0 (the singular
+    integral degenerates there: Gamma(n - alpha) has a pole); fractional alpha
+    is the integral of order n - alpha of f^(n), through ``singular_integral``.
     """
     alpha = as_order(alpha)
     if alpha.is_integer:
-        for x in xs:
+        xs = np.array(xs, dtype=np.float64).reshape(-1)
+        for x in xs.tolist():
             _check_gap(a, x, cfg)
-        return np.array([evaluate(fn, x) for x in xs]), np.zeros(len(xs))
-    return singular_integral(lambda zs: evaluate_many(fn, zs), alpha.n - alpha.alpha,
-                             a, xs, cfg)
+        return np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
+    return singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg)
 
 
 def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,
@@ -291,24 +291,11 @@ def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,
     follows from the O(h^2) convergence of the product-trapezoid rule.
     """
     alpha = as_order(alpha)
-    (value,), (est,) = caputo_from_nth(derivative(f, alpha.n), alpha, a, (x,), cfg)
+    fn = derivative(f, alpha.n)
+    (value,), (est,) = caputo_from_nth(lambda zs: evaluate_many(fn, zs), alpha, a, (x,),
+                                       cfg)
     if alpha.is_integer:
         return DerivResult(float(value), KIND_CAPUTO, METHOD_CLOSED)
-    return DerivResult(float(value), KIND_CAPUTO, METHOD_QUAD, float(est))
-
-
-def caputo_quadrature_fn(nth_derivative_values, alpha, a: float, x: float,
-                         cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """One-point Caputo quadrature from a callable that samples f^(n) on a grid.
-
-    Used directly when f^(n) is only available pointwise, e.g. the general
-    Leibniz expansion of a product.  Requires non-integer alpha.
-    """
-    alpha = as_order(alpha)
-    if alpha.is_integer:
-        raise DomainError("quadrature core needs a non-integer order")
-    (value,), (est,) = singular_integral(nth_derivative_values, alpha.n - alpha.alpha,
-                                         a, (x,), cfg)
     return DerivResult(float(value), KIND_CAPUTO, METHOD_QUAD, float(est))
 
 
@@ -327,37 +314,32 @@ def fractional_integral_fn(function_values, order: float, a: float, x: float,
 # Riemann-Liouville through the bridge
 
 
-def rl_caputo_bridge(f: FuncExpr, alpha, a: float, x: float,
-                     cfg: QuadratureConfig = QuadratureConfig(),
-                     boundary: str = "gamma") -> DerivResult:
-    """RL derivative as Caputo plus boundary terms.
-
-    ``boundary="gamma"`` uses the oracle-consistent 1/Gamma(k+1-alpha)
-    coefficients.  ``boundary="factorial"`` substitutes 1/k! and exists only
-    so tests can document that the factorial variant breaks the power rule.
-    At integer alpha every gamma-form boundary term vanishes through rgamma,
-    so RL and Caputo collapse to the classical derivative together.
+def boundary_terms(at_a, alpha, a: float, x: float) -> float:
+    """RL minus Caputo at x: the sum over k of
+    f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha), where at_a[k] holds
+    f^(k)(a) for k = 0..n-1.  At integer alpha every term vanishes through
+    rgamma, so RL and Caputo collapse to the classical derivative together.
     """
-    if boundary not in ("gamma", "factorial"):
-        raise ValueError(f"boundary must be 'gamma' or 'factorial', got {boundary!r}")
+    alpha = as_order(alpha).alpha
+    total = 0.0
+    for k, fk_a in enumerate(at_a):
+        coef = rgamma(k + 1.0 - alpha)
+        if fk_a != 0.0 and coef != 0.0:
+            total += fk_a * coef * (x - a) ** (k - alpha)
+    return total
+
+
+def rl_caputo_bridge(f: FuncExpr, alpha, a: float, x: float,
+                     cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
+    """RL derivative as Caputo plus ``boundary_terms``."""
     alpha = as_order(alpha)
     _check_interval(a, x)
-    try:
-        cap = caputo_closed(f, alpha, a, x)
-    except UnsupportedFunction:
-        cap = caputo_quadrature(f, alpha, a, x, cfg)
-    value = cap.value
+    at_a = [evaluate(f, a)]
     g = f
-    for k in range(alpha.n):
-        fk_a = evaluate(g, a)
-        if boundary == "gamma":
-            coef = rgamma(k + 1.0 - alpha.alpha)
-        else:
-            coef = 1.0 / math.factorial(k)
-        if fk_a != 0.0 and coef != 0.0:
-            value += fk_a * coef * (x - a) ** (k - alpha.alpha)
-        if k + 1 < alpha.n:
-            g = derivative(g, 1)
+    for _ in range(alpha.n - 1):
+        g = derivative(g, 1)
+        at_a.append(evaluate(g, a))
+    value = caputo_derivative(f, alpha, a, x, cfg).value + boundary_terms(at_a, alpha, a, x)
     return DerivResult(value, KIND_RL, METHOD_BRIDGE)
 
 

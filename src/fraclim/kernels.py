@@ -21,10 +21,11 @@ q-power difference then follows exactly as B_m = (m-1) A_m + m^p (expand
 (m-1)^q = (m-1)(m-1)^p), which is a sum of positives, so it costs one power
 evaluation and no accuracy.
 
-Collecting the coefficient of each v_j turns the rule into h^p (w @ v) with
-a weight vector w that depends only on N and mu, never on the samples, so
-``product_weights`` computes it once per (N, mu) and keeps it in a small
-cache.
+Collecting the coefficient of each v_j turns the rule into (N h)^p (w @ v)
+with a weight vector w that depends only on N and mu, never on the samples,
+so ``product_weights`` computes it once per (N, mu) and keeps it in a small
+cache.  The weights are built from powers of m/N, not of m, whose powers
+would overflow for orders p above about 100.
 """
 
 import functools
@@ -42,8 +43,8 @@ _WEIGHT_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def product_weights(n: int, mu: float) -> np.ndarray:
-    """Read-only weights w of length n+1 with  h^(mu+1) (w @ v)  the rule's
-    value on n subintervals of width h."""
+    """Read-only weights w of length n+1 with  (n h)^(mu+1) (w @ v)  the
+    rule's value on n subintervals of width h."""
     if n != int(n) or n < 1:
         raise ValueError(f"need at least one subinterval, got n={n!r}")
     p = mu + 1.0
@@ -51,7 +52,7 @@ def product_weights(n: int, mu: float) -> np.ndarray:
     if not p > 0.0:
         raise ValueError(f"kernel exponent must exceed -1, got {mu!r}")
     m = np.arange(n, 0, -1, dtype=np.float64)
-    mp = np.power(m, p)
+    mp = np.power(m / n, p)
     with np.errstate(divide="ignore"):
         # at m = 1, log1p(-1) = -inf and expm1(-inf) = -1 give A_1 = 1 exactly
         am = -mp * np.expm1(p * np.log1p(-1.0 / m))
@@ -72,8 +73,8 @@ def product_quad_uniform(values, h, mu):
         raise ValueError("values must be a 1-d array with at least two samples")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
-    w = product_weights(v.shape[0] - 1, mu)
-    return float(h ** (mu + 1.0) * (w @ v))
+    n = v.shape[0] - 1
+    return float((n * h) ** (mu + 1.0) * (product_weights(n, mu) @ v))
 
 
 def product_quad_rows(values, h, mu) -> np.ndarray:
@@ -85,7 +86,7 @@ def product_quad_rows(values, h, mu) -> np.ndarray:
         raise ValueError("values must be a 2-d array with at least two samples a row")
     if h.shape != (v.shape[0],) or not np.all(h > 0.0):
         raise ValueError("h must hold one positive spacing per row")
-    w = product_weights(v.shape[1] - 1, mu)
+    n = v.shape[1] - 1
     # einsum, not v @ w: BLAS rounds a row differently by its place in the
     # block, and a grid's value should not depend on the grids beside it.
-    return np.power(h, mu + 1.0) * np.einsum("ij,j->i", v, w)
+    return np.power(n * h, mu + 1.0) * np.einsum("ij,j->i", v, product_weights(n, mu))

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from .exceptions import DomainError, UnsupportedProduct
 from .fracderiv import (
     QuadratureConfig,
+    boundary_terms,
     caputo_derivative,
-    caputo_quadrature_fn,
+    caputo_from_nth,
     closed_form_applicable,
     fractional_integral_fn,
     power_parts,
-    rl_caputo_bridge,
     rl_derivative,
     rl_power_value,
 )
@@ -39,7 +39,7 @@ from .funcmodel import (
     poly_product,
     polynomial_degree,
 )
-from .specfun import FracOrder, as_order, frac_binomial, rgamma
+from .specfun import FracOrder, as_order, frac_binomial
 
 __all__ = [
     "RULE_INTEGER_SUM",
@@ -48,6 +48,7 @@ __all__ = [
     "LeibnizReport",
     "SeriesResult",
     "integer_leibniz",
+    "integer_leibniz_report",
     "leibniz_defect",
     "rl_of_product",
     "symmetrized_series",
@@ -146,37 +147,19 @@ def _product_nth_values(f, g, n):
     return values
 
 
-def _product_kth_at(f, g, k, a):
-    """(fg)^(k)(a) by general Leibniz (k = 0 means the plain product)."""
-    total = 0.0
-    for j in range(k + 1):
-        total += math.comb(k, j) * evaluate(derivative(f, j), a) * evaluate(
-            derivative(g, k - j), a
-        )
-    return total
-
-
 def _d_product_point(f, g, alpha, a, x, cfg, operator):
-    """D^alpha(fg)(x): expand symbolically when possible, else quadrature on
-    the Leibniz-expanded n-th derivative of the product."""
+    """D^alpha(fg)(x): expand symbolically when possible, else the Caputo
+    route on the Leibniz-expanded n-th derivative of the product, plus the
+    boundary terms for RL."""
     try:
         return _d_point(poly_product(f, g), alpha, a, x, cfg, operator)
     except UnsupportedProduct:
         pass
-    n = alpha.n
-    values = _product_nth_values(f, g, n)
-    if alpha.is_integer:
-        cap = _product_kth_at(f, g, n, x)
-    else:
-        cap = caputo_quadrature_fn(values, alpha, a, x, cfg).value
-    if operator == "caputo":
-        return cap
-    bridge = 0.0
-    for k in range(n):
-        coef = rgamma(k + 1.0 - alpha.alpha)
-        if coef != 0.0:
-            bridge += _product_kth_at(f, g, k, a) * coef * (x - a) ** (k - alpha.alpha)
-    return cap + bridge
+    (value,), _ = caputo_from_nth(_product_nth_values(f, g, alpha.n), alpha, a, (x,), cfg)
+    if operator == "rl":
+        at_a = [float(_product_nth_values(f, g, k)([a])[0]) for k in range(alpha.n)]
+        value += boundary_terms(at_a, alpha, a, x)
+    return float(value)
 
 
 def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -242,15 +225,39 @@ def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
     return total
 
 
+def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizReport:
+    """Pointwise defect (fg)^(n) - integer_leibniz(f, g, n, x) at an integer
+    order n, with (fg)^(n) exact from the expanded product.
+
+    Raises DomainError for a non-integer alpha and UnsupportedProduct unless
+    both factors are polynomials.
+    """
+    alpha = as_order(alpha)
+    if not alpha.is_integer:
+        raise DomainError(f"the integer sum needs an integer alpha, got {alpha.alpha!r}")
+    pts = tuple(float(p) for p in points)
+    if not pts:
+        raise DomainError("need at least one evaluation point")
+    exact = derivative(poly_product(f, g), alpha.n)
+    defects = [evaluate(exact, x) - integer_leibniz(f, g, alpha.n, x) for x in pts]
+    return LeibnizReport(
+        alpha=alpha,
+        points=pts,
+        defect=tuple(defects),
+        max_abs_defect=max(abs(d) for d in defects),
+        rule_form=RULE_INTEGER_SUM,
+    )
+
+
 def _rl_any_order(f, order, a, x, cfg):
     """RL operator of arbitrary real order: derivative (order > 0), identity
     (order == 0) or fractional integral (order < 0)."""
     if order == 0.0:
         return evaluate(f, x)
+    if order > 0.0:
+        return rl_derivative(f, FracOrder(order), a, x, cfg).value
     if closed_form_applicable(f, a):
         return sum(c * rl_power_value(beta, order, a, x) for c, beta in power_parts(f, a))
-    if order > 0.0:
-        return rl_caputo_bridge(f, FracOrder(order), a, x, cfg).value
     return fractional_integral_fn(lambda zs: evaluate_many(f, zs), -order, a, x, cfg)
 
 
@@ -279,16 +286,19 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     K = int(K)
     terms = []
     total = 0.0
+    fk, gk = f, g
     for k in range(K + 1):
         b = frac_binomial(alpha.alpha, k, halved=True)
         if b == 0.0:
             term = 0.0
         else:
+            # b is zero exactly for the k past an integer alpha, so the k
+            # that reach here are consecutive and f^(k) is one step on
+            if k:
+                fk, gk = derivative(fk, 1), derivative(gk, 1)
             order = alpha.alpha - k
-            term = b * (
-                _rl_any_order(f, order, a, x, cfg) * evaluate(derivative(g, k), x)
-                + _rl_any_order(g, order, a, x, cfg) * evaluate(derivative(f, k), x)
-            )
+            term = b * (_rl_any_order(f, order, a, x, cfg) * evaluate(gk, x)
+                        + _rl_any_order(g, order, a, x, cfg) * evaluate(fk, x))
         terms.append(term)
         total += term
     growing = len(terms) >= 3 and abs(terms[-1]) > abs(terms[-2]) > abs(terms[-3])

@@ -30,7 +30,7 @@ from .fracderiv import (
     closed_form_applicable,
     power_parts,
 )
-from .funcmodel import FuncExpr, derivative, evaluate
+from .funcmodel import FuncExpr, derivative, evaluate, evaluate_many
 from .specfun import FracOrder, as_order, rgamma
 
 __all__ = [
@@ -153,7 +153,8 @@ def _scan(f: FuncExpr, alpha: FracOrder, a: float, cfg: ScanConfig):
             fn = None
     else:
         fn = derivative(f, alpha.n)
-        values, est_errors = caputo_from_nth(fn, alpha, a, xs, cfg.quad)
+        values, est_errors = caputo_from_nth(lambda zs: evaluate_many(fn, zs), alpha, a,
+                                             xs, cfg.quad)
     samples = [
         LfdSample(x, float(v), float(e), x - a, not e > abs(v))
         for x, v, e in zip(xs, values, est_errors)

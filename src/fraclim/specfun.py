@@ -3,9 +3,8 @@
 Everything here is scalar, pure and stateless.  ``gamma`` is ``math.gamma``
 with a PoleError at the poles and a signed infinity on overflow; ``rgamma``
 extends the reciprocal continuously through the poles (where it is exactly
-zero), which is what makes the fractional binomial coefficients and the
-power-rule prefactors vanish in the right places without special-casing
-every caller.
+zero), which is what makes the power-rule prefactors vanish in the right
+places without special-casing every caller.
 """
 
 from __future__ import annotations
@@ -72,27 +71,35 @@ def gamma(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """1/Gamma(x), defined for all real x; exactly 0.0 at the poles."""
+    """1/Gamma(x), defined for all real x; exactly 0.0 at the poles and where
+    Gamma overflows, a signed infinity where it underflows to zero (x below
+    about -178)."""
     x = float(x)
     if _is_nonpositive_integer(x):
         return 0.0
     g = gamma(x)
     if math.isinf(g):
         return 0.0
+    if g == 0.0:
+        return math.copysign(math.inf, g)
     return 1.0 / g
 
 
 def frac_binomial(alpha: float, k: int, halved: bool = False) -> float:
     """Generalized binomial coefficient Gamma(a+1) / (Gamma(a-k+1) Gamma(k+1)).
 
-    For integer alpha this reproduces the ordinary binomial coefficient and
-    vanishes (through ``rgamma``) for k > alpha.  With ``halved=True`` the
-    value carries the extra factor 1/2 used by the symmetrized product rule.
+    Computed as the product prod_{j<k} (alpha - j) / (j + 1), which stays
+    finite where the gamma quotient would be inf * 0.  For integer alpha this
+    reproduces the ordinary binomial coefficient exactly and vanishes for
+    k > alpha.  With ``halved=True`` the value carries the extra factor 1/2
+    used by the symmetrized product rule.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     if k != int(k) or k < 0:
         raise DomainError(f"k must be a non-negative integer, got {k!r}")
-    value = gamma(alpha + 1.0) * rgamma(alpha - k + 1.0) * rgamma(float(k) + 1.0)
+    value = 1.0
+    for j in range(int(k)):
+        value = value * (alpha - j) / (j + 1)
     return 0.5 * value if halved else value

@@ -216,7 +216,9 @@ def test_criterion_7_bridge_consistency():
     f = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
     want = rl_power_value(0.0, 0.5, 0.0, 1.0) + rl_power_value(1.0, 0.5, 0.0, 1.0)
     good = rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0).value
-    bad = rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0, boundary="factorial").value
+    # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
+    cap = caputo_closed(f, FracOrder(0.5), 0.0, 1.0).value
+    bad = cap + evaluate(f, 0.0) / math.factorial(0)
     ok = worst <= 1e-8 and abs(good - want) <= 1e-8 and abs(bad - want) > 1e-2
     _verdict(
         7, ok,

@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: output formats, schemas, exit codes."""
 
 import csv
+import importlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,21 @@ def test_leibniz_integer_rule_needs_integer_alpha(capsys):
     ])
     assert code == 3
     assert "integer" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_leibniz_series_large_truncation(capsys):
+    # K = 200 reaches 1/Gamma(-198.5) and fractional integrals of order 199.5
+    argv = ["leibniz", "--f", "sin(c=1,w=1,phi=0)", "--g", "exp(c=1,lam=1)",
+            "--alpha", "0.5", "--a", "0", "--x", "1", "--rule", "series",
+            "--output", "json"]
+    values = {}
+    for k_max in (60, 200):
+        code, out, _ = run(capsys, argv + ["--k-max", str(k_max)])
+        assert code == 0
+        values[k_max] = json.loads(out)["series_values"][0]
+    assert math.isfinite(values[200])
+    assert values[200] == pytest.approx(values[60], rel=1e-12)
 
 
 def test_leibniz_series_json(capsys):
@@ -325,6 +342,16 @@ def test_max_threads_env(monkeypatch):
         max_threads()
     monkeypatch.delenv("FRACLIM_MAX_THREADS")
     assert max_threads() >= 1
+
+
+@pytest.mark.parametrize("module", ["fraclim", "fraclim.cli", "fraclim.lfd",
+                                    "fraclim.leibniz", "fraclim.fracderiv",
+                                    "fraclim.kernels", "fraclim.funcmodel",
+                                    "fraclim.specfun"])
+def test_every_export_exists(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        getattr(mod, name)
 
 
 def test_console_entry_point_subprocess():

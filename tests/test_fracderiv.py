@@ -8,6 +8,7 @@ e^x * erf(sqrt(x)).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from fraclim.fracderiv import (
     caputo_power,
     caputo_power_coefficient,
     caputo_quadrature,
-    caputo_quadrature_fn,
     closed_form_applicable,
     fractional_integral_fn,
     power_parts,
@@ -213,11 +213,15 @@ def test_linearity_on_quadrature_route():
 
 
 def test_quadrature_fn_entry_point():
-    order = FracOrder(0.5)
-    r = caputo_quadrature_fn(np.cos, order, 0.0, 0.1, QuadratureConfig(nodes=1024))
-    assert r.value == pytest.approx(CAPUTO_HALF_SIN_AT_01, abs=2e-9)
-    with pytest.raises(DomainError):
-        caputo_quadrature_fn(np.cos, FracOrder(1.0), 0.0, 0.1)
+    # caputo_from_nth takes a sampler of f^(n): cos is sin' for the order-1/2 case
+    (value,), (est,) = caputo_from_nth(np.cos, FracOrder(0.5), 0.0, [0.1],
+                                       QuadratureConfig(nodes=1024))
+    assert value == pytest.approx(CAPUTO_HALF_SIN_AT_01, abs=2e-9)
+    assert 0.0 < est < 1e-8
+    # at an integer order the value is the sample itself, exact, with estimate 0
+    values, ests = caputo_from_nth(np.cos, FracOrder(1.0), 0.0, [0.1, 0.7])
+    assert values.tolist() == np.cos([0.1, 0.7]).tolist()
+    assert ests.tolist() == [0.0, 0.0]
 
 
 def test_fractional_integral():
@@ -245,10 +249,11 @@ def test_bridge_matches_rl_closed():
 def test_bridge_factorial_variant_breaks_the_power_rule():
     f = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
     want = rl_closed(f, FracOrder(0.5), 0.0, 1.0).value
-    bad = rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0, boundary="factorial").value
+    # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
+    bad = caputo_closed(f, FracOrder(0.5), 0.0, 1.0).value + 1.0 / math.factorial(0)
     assert abs(bad - want) > 0.1
-    with pytest.raises(ValueError):
-        rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0, boundary="bogus")
+    assert rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0).value == pytest.approx(want,
+                                                                                rel=1e-13)
 
 
 def test_bridge_quadrature_route():
@@ -326,7 +331,7 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         rl_derivative(SIN, 0.5, a, x)
     with pytest.raises(DomainError):
-        caputo_quadrature_fn(np.cos, FracOrder(0.5), a, x)
+        caputo_from_nth(np.cos, FracOrder(0.5), a, [x])
     with pytest.raises(DomainError):
         fractional_integral_fn(np.cos, 0.5, a, x)
 
@@ -356,8 +361,15 @@ def test_scan_core_samples_row_blocks_on_linspace_grids():
             rel=1e-13)
 
 
+def test_singular_integral_of_high_order():
+    # m^120 overflows on 1024 nodes; the weights are built from (m/N)^120
+    (value,), (est,) = singular_integral(np.ones_like, 120.0, 0.25, [1.75])
+    assert value == pytest.approx(float(mp.mpf(1.5) ** 120 / mp.gamma(121)), rel=1e-12)
+    assert math.isfinite(est)
+
+
 def test_scan_core_validation():
     with pytest.raises(DomainError):
-        caputo_from_nth(SIN, FracOrder(2.0), 0.0, [0.3, -0.1], QuadratureConfig())
+        caputo_from_nth(np.sin, FracOrder(2.0), 0.0, [0.3, -0.1], QuadratureConfig())
     with pytest.raises(DomainError):
         singular_integral(np.cos, 0.0, 0.0, [0.3], QuadratureConfig())

@@ -6,19 +6,22 @@ Gamma(3)/Gamma(2.5) - 2 Gamma(2)/Gamma(1.5) evaluated at dps=40.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclim.exceptions import DomainError
+from fraclim.exceptions import DomainError, UnsupportedProduct
 from fraclim.fracderiv import QuadratureConfig, rl_closed
 from fraclim.funcmodel import FuncExpr, PowerTerm, parse_expr, poly_product
 from fraclim.leibniz import (
+    RULE_INTEGER_SUM,
     RULE_SYMMETRIZED,
     RULE_UNVIOLATED,
     SeriesResult,
     integer_leibniz,
+    integer_leibniz_report,
     leibniz_defect,
     rl_of_product,
     symmetrized_series,
@@ -28,11 +31,13 @@ from fraclim.specfun import FracOrder
 DEFECT_XX_HALF_AT_1 = -0.75225277806367504926
 SERIES_XX_HALF_AT_1 = 1.5045055561273500985  # 2/Gamma(2.5) = RL^1/2 of x^2 at 1
 SERIES_X2_ONE_K0 = 1.0343475698375531927  # (Gamma(3)/Gamma(2.5) + 1/Gamma(0.5))/2
+RL_HALF_EXP2X_AT_1 = 10.538428671807382812  # sqrt(2) e^2 erf(sqrt(2)) + 1/sqrt(pi)
 
 X = parse_expr("pow(c=1,x0=0,beta=1)")
 X2 = parse_expr("pow(c=1,x0=0,beta=2)")
 ONE = parse_expr("pow(c=1,x0=0,beta=0)")
 SIN = parse_expr("sin(c=1,w=1)")
+EXP = parse_expr("exp(c=1,lam=1)")
 
 
 def test_defect_frozen_value():
@@ -127,6 +132,17 @@ def test_integer_leibniz_validation():
         integer_leibniz(X, X, 1.5, 1.0)
 
 
+def test_integer_leibniz_report():
+    rep = integer_leibniz_report(X2, X2, FracOrder(3.0), (0.4, 1.2))
+    assert rep.rule_form == RULE_INTEGER_SUM
+    assert rep.points == (0.4, 1.2)
+    assert rep.max_abs_defect <= 1e-12
+    with pytest.raises(DomainError):
+        integer_leibniz_report(X2, X2, FracOrder(1.5), (0.4,))
+    with pytest.raises(UnsupportedProduct):
+        integer_leibniz_report(X2, SIN, FracOrder(1.0), (0.4,))
+
+
 # --- symmetrized series ---
 
 
@@ -200,6 +216,71 @@ def test_rl_of_product_matches_closed_form():
     got = rl_of_product(one_plus_x, one_plus_x, FracOrder(0.5), 0.0, 1.0)
     want = rl_closed(poly_product(one_plus_x, one_plus_x), FracOrder(0.5), 0.0, 1.0)
     assert got == pytest.approx(want.value, rel=1e-12)
+
+
+# --- the product route against mpmath on pairs poly_product cannot expand ---
+
+
+def _mp_integral(h, mu, a, y):
+    """Order-mu RL integral of h at y, (1/Gamma(mu)) int_a^y (y - t)^(mu-1) h(t) dt,
+    with y - t = (y - a) v^(1/mu) taking the kernel's singularity out."""
+    span = y - a
+    return span**mu / mp.gamma(mu + 1) * mp.quad(lambda v: h(y - span * v ** (1 / mu)),
+                                                  [0, 1])
+
+
+def _mp_rl(h, alpha, a, x):
+    """RL derivative by its definition: d^n/dx^n of the order n - alpha integral."""
+    n = math.ceil(alpha)
+    mu = n - mp.mpf(alpha)
+    if mu == 0:
+        return mp.diff(h, x, n)
+
+    def integral(y):
+        with mp.extradps(20):
+            return _mp_integral(h, mu, a, y)
+
+    return mp.diff(integral, x, n)
+
+
+def _mp_caputo(hn, alpha, a, x):
+    """Caputo derivative by its definition: the order n - alpha integral of
+    hn = h^(n)."""
+    mu = math.ceil(alpha) - mp.mpf(alpha)
+    return hn(x) if mu == 0 else _mp_integral(hn, mu, a, x)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+def test_rl_of_product_exp_exp_against_mpmath(alpha):
+    # e^x e^x: caputo_from_nth on the Leibniz-expanded (fg)^(n), plus n boundary terms
+    with mp.workdps(30):
+        want = _mp_rl(lambda t: mp.exp(2 * t), alpha, 0, mp.mpf(1))
+    got = rl_of_product(EXP, EXP, alpha, 0.0, 1.0, QuadratureConfig(nodes=4096))
+    assert got == pytest.approx(float(want), rel=1e-7)
+    if alpha == 0.5:
+        assert float(want) == pytest.approx(RL_HALF_EXP2X_AT_1, rel=1e-15)
+    if alpha == 2.0:
+        # integer order: exactly (fg)''(x) = 4 e^2, the boundary terms all vanish
+        assert got == pytest.approx(4.0 * math.exp(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+def test_caputo_defect_sin_exp_against_mpmath(alpha):
+    n = math.ceil(alpha)
+    xs = (0.6, 1.2)
+    one_i = mp.mpc(1, 1)
+    want = []
+    with mp.workdps(30):
+        for x in map(mp.mpf, xs):
+            # (sin t e^t)^(n) = Im((1+i)^n e^((1+i)t)), independent of the Leibniz sum
+            d_fg = _mp_caputo(lambda t: mp.im(one_i**n * mp.exp(one_i * t)), alpha, 0, x)
+            d_f = _mp_caputo(lambda t: mp.sin(t + n * mp.pi / 2), alpha, 0, x)
+            d_g = _mp_caputo(mp.exp, alpha, 0, x)
+            want.append(float(d_fg - d_f * mp.exp(x) - mp.sin(x) * d_g))
+    rep = leibniz_defect(SIN, EXP, alpha, 0.0, xs, QuadratureConfig(nodes=4096))
+    assert rep.defect == pytest.approx(want, abs=5e-7)
+    if alpha == 2.0:
+        assert rep.defect == pytest.approx(want, rel=1e-13)
 
 
 @given(

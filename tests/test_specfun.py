@@ -6,7 +6,9 @@ tables; reflection and recurrence are exercised as properties.
 """
 
 import math
+import sys
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,15 @@ def test_overflow_returns_inf():
     assert rgamma(180.0) == 0.0
 
 
+def test_rgamma_where_gamma_underflows():
+    # Gamma(-190.5) underflows to -0.0; 1/Gamma there is about -1e354 (mpmath),
+    # past the largest float, so the float answer is -inf
+    want = mp.rgamma(-190.5)
+    assert abs(want) > sys.float_info.max
+    assert rgamma(-190.5) == (-math.inf if want < 0 else math.inf)
+    assert rgamma(-170.5) == pytest.approx(float(mp.rgamma(-170.5)), rel=1e-12)
+
+
 @given(st.floats(min_value=0.1, max_value=50.0))
 @settings(max_examples=300)
 def test_recurrence(x):
@@ -102,6 +113,11 @@ def test_frac_binomial_matches_comb_for_integer_order():
 def test_frac_binomial_vanishes_past_integer_order():
     assert frac_binomial(2.0, 5) == 0.0
     assert frac_binomial(3.0, 4) == 0.0
+
+
+def test_frac_binomial_large_k():
+    # the gamma quotient would be Gamma(1.5) * inf * 0 here
+    assert frac_binomial(0.5, 200) == pytest.approx(float(mp.binomial(0.5, 200)), rel=1e-12)
 
 
 def test_frac_binomial_halved():
