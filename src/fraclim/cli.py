@@ -28,13 +28,11 @@ from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
 from .funcmodel import derivative, evaluate, format_expr, parse_expr
 from .leibniz import (
     RULE_SYMMETRIZED,
-    LeibnizReport,
     integer_leibniz_report,
     leibniz_defect,
-    rl_of_product,
-    symmetrized_series,
+    series_leibniz_report,
 )
-from .lfd import CLASS_DIVERGENT, CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
+from .lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
 from .specfun import FracOrder
 
 __all__ = ["build_parser", "console_main", "main", "max_threads", "read_corpus"]
@@ -217,30 +215,13 @@ def cmd_leibniz(args) -> int:
     order = FracOrder(args.alpha)
     cfg = QuadratureConfig(nodes=args.nodes)
     points = tuple(args.x)
-    series_values = None
     if args.rule == "defect":
         report = leibniz_defect(f, g, order, args.a, points, cfg, operator=args.operator)
     elif args.rule == "integer":
         report = integer_leibniz_report(f, g, order, points)
     else:  # series
-        defects = []
-        series_values = []
-        residual = 0.0
-        for x in points:
-            sr = symmetrized_series(f, g, order, args.a, x, K=args.k_max, cfg=cfg)
-            ref = rl_of_product(f, g, order, args.a, x, cfg)
-            series_values.append(sr.value)
-            defects.append(ref - sr.value)
-            residual = max(residual, sr.residual)
-        report = LeibnizReport(
-            alpha=order,
-            points=points,
-            defect=tuple(defects),
-            max_abs_defect=max(abs(d) for d in defects),
-            rule_form=RULE_SYMMETRIZED,
-            truncation_K=sr.K,
-            series_residual=residual,
-        )
+        report = series_leibniz_report(f, g, order, args.a, points, args.k_max, cfg)
+    series_values = report.series_values
     if args.output == "json":
         doc = {
             "command": "leibniz",

@@ -225,7 +225,7 @@ def _sample(sampler, a, xs, n):
     return np.asarray(sampler(grid.ravel()), dtype=np.float64).reshape(grid.shape)
 
 
-def singular_integral(sampler, order: float, a: float, xs,
+def singular_integral(sampler, order, a: float, xs,
                       cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True):
     """Riemann-Liouville integral of positive ``order`` at every x in ``xs``,
 
@@ -235,43 +235,54 @@ def singular_integral(sampler, order: float, a: float, xs,
     maps a 1-d array of points z to g(z).  Returns two arrays: the values
     and the Richardson estimates |I(N) - I(N/2)| / 3, which follow from the
     rule's O(h^2) convergence; with ``estimate=False`` the half-resolution
-    pass is skipped and the second array is None.  Every Caputo quadrature
+    pass is skipped and the second array is None.  ``order`` may also be a
+    1-d sequence of orders: g is then sampled once for all of them, and both
+    arrays gain a leading axis, one row per order.  Every Caputo quadrature
     and fractional integral in the package goes through here.
     """
-    if not order > 0.0:
-        raise DomainError(f"integral order must be positive, got {order!r}")
+    order = np.asarray(order, dtype=np.float64)
+    orders = np.atleast_1d(order)
+    if orders.ndim != 1 or orders.size == 0:
+        raise DomainError(f"need one integral order or a 1-d array of them, got {order!r}")
+    for o in orders.tolist():
+        if not o > 0.0:
+            raise DomainError(f"integral order must be positive, got {o!r}")
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     for x in xs.tolist():
         _check_gap(a, x, cfg)
-    mu = order - 1.0
-    scale = rgamma(order)
+    mu = orders - 1.0
+    scale = np.array([rgamma(o) for o in orders.tolist()])[:, None]
     nodes = cfg.nodes
     half = nodes // 2
-    values = np.empty(xs.shape)
-    est_errors = np.empty(xs.shape) if estimate else None
+    values = np.empty((orders.size, xs.size))
+    est_errors = np.empty(values.shape) if estimate else None
     rows = max(1, _BLOCK_POINTS // (nodes + 1))
     for i in range(0, xs.shape[0], rows):
         x = xs[i:i + rows]
         v = _sample(sampler, a, x, nodes)
         fine = scale * product_quad_rows(v, (x - a) / nodes, mu)
-        values[i:i + rows] = fine
+        values[:, i:i + rows] = fine
         if estimate:
             vc = v[:, ::2] if nodes % 2 == 0 else _sample(sampler, a, x, half)
             coarse = scale * product_quad_rows(vc, (x - a) / half, mu)
-            est_errors[i:i + rows] = np.abs(fine - coarse) / 3.0
+            est_errors[:, i:i + rows] = np.abs(fine - coarse) / 3.0
+    if order.ndim == 0:
+        return values[0], None if est_errors is None else est_errors[0]
     return values, est_errors
 
 
 def caputo_from_nth(sampler, alpha, a: float, xs,
-                    cfg: QuadratureConfig = QuadratureConfig()):
+                    cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True):
     """Caputo derivative at every x in ``xs`` of a function f, as arrays of
     values and error estimates; ``sampler`` maps a 1-d array of points z to
     f^(n)(z).
 
     Integer alpha takes the exact sampler(xs) with estimate 0 (the singular
     integral degenerates there: Gamma(n - alpha) has a pole); fractional alpha
-    is the integral of order n - alpha of f^(n), through ``singular_integral``.
+    is the integral of order n - alpha of f^(n), through ``singular_integral``,
+    whose ``estimate=False`` skips the half-resolution pass and returns None
+    for the estimates.
     """
     alpha = as_order(alpha)
     if alpha.is_integer:
@@ -279,7 +290,7 @@ def caputo_from_nth(sampler, alpha, a: float, xs,
         for x in xs.tolist():
             _check_gap(a, x, cfg)
         return np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
-    return singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg)
+    return singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg, estimate)
 
 
 def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,

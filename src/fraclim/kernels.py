@@ -79,14 +79,26 @@ def product_quad_uniform(values, h, mu):
 
 def product_quad_rows(values, h, mu) -> np.ndarray:
     """The rule on a block of grids with one node count: row i of the 2-d
-    ``values`` holds the N+1 samples of grid i, whose spacing is h[i] > 0."""
+    ``values`` holds the N+1 samples of grid i, whose spacing is h[i] > 0.
+    ``mu`` may also be a 1-d array of exponents: the block is then integrated
+    against each, with one row of results per exponent."""
     v = np.asarray(values, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("values must be a 2-d array with at least two samples a row")
     if h.shape != (v.shape[0],) or not np.all(h > 0.0):
         raise ValueError("h must hold one positive spacing per row")
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim > 1:
+        raise ValueError("mu must be a number or a 1-d array of exponents")
     n = v.shape[1] - 1
+    ms = np.atleast_1d(mu).tolist()
+    # one power call per exponent, as a Python float: NumPy takes sqrt or
+    # square for a scalar exponent 0.5 or 2, which can differ in the last bit
+    # from its pow over a broadcast array of exponents
+    lengths = np.array([np.power(n * h, m + 1.0) for m in ms])
+    w = np.array([product_weights(n, m) for m in ms])
     # einsum, not v @ w: BLAS rounds a row differently by its place in the
     # block, and a grid's value should not depend on the grids beside it.
-    return np.power(n * h, mu + 1.0) * np.einsum("ij,j->i", v, product_weights(n, mu))
+    out = lengths * np.einsum("ij,kj->ki", v, w)
+    return out[0] if mu.ndim == 0 else out

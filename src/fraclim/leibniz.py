@@ -23,13 +23,13 @@ from .exceptions import DomainError, UnsupportedProduct
 from .fracderiv import (
     QuadratureConfig,
     boundary_terms,
-    caputo_derivative,
+    caputo_closed,
     caputo_from_nth,
     closed_form_applicable,
-    fractional_integral_fn,
     power_parts,
-    rl_derivative,
+    rl_closed,
     rl_power_value,
+    singular_integral,
 )
 from .funcmodel import (
     FuncExpr,
@@ -51,6 +51,7 @@ __all__ = [
     "integer_leibniz_report",
     "leibniz_defect",
     "rl_of_product",
+    "series_leibniz_report",
     "symmetrized_series",
 ]
 
@@ -63,7 +64,11 @@ _DEFAULT_TRUNCATION = 12
 
 @dataclass(frozen=True)
 class LeibnizReport:
-    """Pointwise defects of one product-rule form, plus series diagnostics."""
+    """Pointwise defects of one product-rule form, plus series diagnostics.
+
+    ``series_values`` holds the series partial sum at each point for the
+    symmetrized-series form; ``to_json_dict`` leaves it out.
+    """
 
     alpha: FracOrder
     points: tuple
@@ -72,6 +77,7 @@ class LeibnizReport:
     rule_form: str
     truncation_K: int | None = None
     series_residual: float | None = None
+    series_values: tuple | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,10 +131,17 @@ def _check_points(a, points):
                           f"got {points!r}")
 
 
-def _d_point(f, alpha, a, x, cfg, operator):
-    if operator == "caputo":
-        return caputo_derivative(f, alpha, a, x, cfg).value
-    return rl_derivative(f, alpha, a, x, cfg).value
+def _derivatives(chain, top):
+    """The list [f, f', ..., f^(top)] from its first entries ``chain``, one
+    derivative step apart."""
+    chain = list(chain)
+    while len(chain) <= top:
+        chain.append(derivative(chain[-1], 1))
+    return chain
+
+
+def _sampler(f):
+    return lambda zs: evaluate_many(f, zs)
 
 
 def _product_nth_values(f, g, n):
@@ -147,19 +160,41 @@ def _product_nth_values(f, g, n):
     return values
 
 
-def _d_product_point(f, g, alpha, a, x, cfg, operator):
-    """D^alpha(fg)(x): expand symbolically when possible, else the Caputo
-    route on the Leibniz-expanded n-th derivative of the product, plus the
-    boundary terms for RL."""
+def _d_from_nth(nth, at_a, alpha, a, pts, cfg):
+    """D^alpha at every point of pts of the function whose n-th derivative
+    ``nth`` samples: one caputo_from_nth call over all the points, without
+    the half-resolution pass, whose estimate no caller here reads.  Given
+    ``at_a``, the function's derivatives of orders 0..n-1 at a, the boundary
+    terms are added and the result is the RL derivative; given None, it is
+    the Caputo one."""
+    values, _ = caputo_from_nth(nth, alpha, a, pts, cfg, estimate=False)
+    if at_a is None:
+        return [float(v) for v in values]
+    return [float(v) + boundary_terms(at_a, alpha, a, x) for v, x in zip(values, pts)]
+
+
+def _d_function(f, alpha, a, pts, cfg, operator):
+    """D^alpha f at every point of pts: the closed form point by point for a
+    power sum centered at a, else one _d_from_nth on the exact f^(n)."""
+    if closed_form_applicable(f, a):
+        closed = caputo_closed if operator == "caputo" else rl_closed
+        return [closed(f, alpha, a, x).value for x in pts]
+    chain = _derivatives([f], alpha.n)
+    at_a = None if operator == "caputo" else [evaluate(fk, a) for fk in chain[:-1]]
+    return _d_from_nth(_sampler(chain[-1]), at_a, alpha, a, pts, cfg)
+
+
+def _d_product(f, g, alpha, a, pts, cfg, operator):
+    """D^alpha(fg) at every point of pts: a product of two polynomials is
+    multiplied out for _d_function; any other is one _d_from_nth on the
+    Leibniz-expanded (fg)^(n)."""
     try:
-        return _d_point(poly_product(f, g), alpha, a, x, cfg, operator)
+        fg = poly_product(f, g)
     except UnsupportedProduct:
-        pass
-    (value,), _ = caputo_from_nth(_product_nth_values(f, g, alpha.n), alpha, a, (x,), cfg)
-    if operator == "rl":
-        at_a = [float(_product_nth_values(f, g, k)([a])[0]) for k in range(alpha.n)]
-        value += boundary_terms(at_a, alpha, a, x)
-    return float(value)
+        at_a = None if operator == "caputo" else [
+            float(_product_nth_values(f, g, k)([a])[0]) for k in range(alpha.n)]
+        return _d_from_nth(_product_nth_values(f, g, alpha.n), at_a, alpha, a, pts, cfg)
+    return _d_function(fg, alpha, a, pts, cfg, operator)
 
 
 def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -170,7 +205,7 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     a = float(a)
     x = float(x)
     _check_points(a, (x,))
-    return _d_product_point(f, g, alpha, a, x, cfg, "rl")
+    return _d_product(f, g, alpha, a, (x,), cfg, "rl")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +226,11 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     a = float(a)
     pts = tuple(float(p) for p in points)
     _check_points(a, pts)
-    defects = []
-    for x in pts:
-        dfg = _d_product_point(f, g, alpha, a, x, cfg, operator)
-        df = _d_point(f, alpha, a, x, cfg, operator)
-        dg = _d_point(g, alpha, a, x, cfg, operator)
-        defects.append(dfg - df * evaluate(g, x) - evaluate(f, x) * dg)
+    dfg = _d_product(f, g, alpha, a, pts, cfg, operator)
+    df = _d_function(f, alpha, a, pts, cfg, operator)
+    dg = _d_function(g, alpha, a, pts, cfg, operator)
+    defects = [dfg[i] - df[i] * evaluate(g, x) - evaluate(f, x) * dg[i]
+               for i, x in enumerate(pts)]
     return LeibnizReport(
         alpha=alpha,
         points=pts,
@@ -249,16 +283,36 @@ def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizRe
     )
 
 
-def _rl_any_order(f, order, a, x, cfg):
-    """RL operator of arbitrary real order: derivative (order > 0), identity
-    (order == 0) or fractional integral (order < 0)."""
-    if order == 0.0:
-        return evaluate(f, x)
-    if order > 0.0:
-        return rl_derivative(f, FracOrder(order), a, x, cfg).value
+def _rl_orders(chain, alpha, live, a, x, cfg):
+    """The RL operators of the orders alpha - k, k < live, on f = chain[0] at
+    x, where chain[j] is f^(j): derivatives for k < alpha, f itself at
+    k == alpha and fractional integrals past it.
+
+    A power sum centered at a takes the power rule.  Otherwise every
+    integral comes from one sample of f on the grid of [a, x], and the
+    derivative of order alpha - k is _d_from_nth on f^(n-k), with the
+    f^(j)(a) of its boundary terms taken once."""
+    f = chain[0]
+    orders = [alpha.alpha - k for k in range(live)]
     if closed_form_applicable(f, a):
-        return sum(c * rl_power_value(beta, order, a, x) for c, beta in power_parts(f, a))
-    return fractional_integral_fn(lambda zs: evaluate_many(f, zs), -order, a, x, cfg)
+        parts = power_parts(f, a)
+        return [evaluate(f, x) if order == 0.0
+                else sum(c * rl_power_value(beta, order, a, x) for c, beta in parts)
+                for order in orders]
+    chain = _derivatives(chain, alpha.n)
+    at_a = [evaluate(fj, a) for fj in chain[:alpha.n]]
+    out = []
+    for order in orders:
+        if order > 0.0:
+            d = FracOrder(order)
+            out += _d_from_nth(_sampler(chain[d.n]), at_a[:d.n], d, a, (x,), cfg)
+        elif order == 0.0:
+            out.append(evaluate(f, x))
+    integrals = [-order for order in orders if order < 0.0]
+    if integrals:
+        values, _ = singular_integral(_sampler(f), integrals, a, (x,), cfg, estimate=False)
+        out += [float(v) for v in values[:, 0]]
+    return out
 
 
 def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -284,22 +338,44 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     if K != int(K) or K < 0:
         raise DomainError(f"K must be a non-negative integer, got {K!r}")
     K = int(K)
-    terms = []
+    binomials = [frac_binomial(alpha.alpha, k, halved=True) for k in range(K + 1)]
+    # b is zero exactly for the k past an integer alpha, so the k whose
+    # terms live are 0 .. live - 1
+    live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)
+    fs = _derivatives([f], live - 1)
+    gs = _derivatives([g], live - 1)
+    df = _rl_orders(fs, alpha, live, a, x, cfg)
+    dg = _rl_orders(gs, alpha, live, a, x, cfg)
+    terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
+             for k, b in enumerate(binomials[:live])]
+    terms += [0.0] * (K + 1 - live)
     total = 0.0
-    fk, gk = f, g
-    for k in range(K + 1):
-        b = frac_binomial(alpha.alpha, k, halved=True)
-        if b == 0.0:
-            term = 0.0
-        else:
-            # b is zero exactly for the k past an integer alpha, so the k
-            # that reach here are consecutive and f^(k) is one step on
-            if k:
-                fk, gk = derivative(fk, 1), derivative(gk, 1)
-            order = alpha.alpha - k
-            term = b * (_rl_any_order(f, order, a, x, cfg) * evaluate(gk, x)
-                        + _rl_any_order(g, order, a, x, cfg) * evaluate(fk, x))
-        terms.append(term)
+    for term in terms:
         total += term
     growing = len(terms) >= 3 and abs(terms[-1]) > abs(terms[-2]) > abs(terms[-3])
     return SeriesResult(total, abs(terms[-1]), K, growing)
+
+
+def series_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
+                          K: int | None = None,
+                          cfg: QuadratureConfig = QuadratureConfig()) -> LeibnizReport:
+    """Pointwise defect RL^alpha(fg) - symmetrized_series at every point,
+    with the partial sums, the resolved truncation K and the largest series
+    residual.  The RL reference for all the points is one batched call."""
+    alpha = as_order(alpha)
+    a = float(a)
+    pts = tuple(float(p) for p in points)
+    _check_points(a, pts)
+    series = [symmetrized_series(f, g, alpha, a, x, K, cfg) for x in pts]
+    refs = _d_product(f, g, alpha, a, pts, cfg, "rl")
+    defects = [ref - sr.value for ref, sr in zip(refs, series)]
+    return LeibnizReport(
+        alpha=alpha,
+        points=pts,
+        defect=tuple(defects),
+        max_abs_defect=max(abs(d) for d in defects),
+        rule_form=RULE_SYMMETRIZED,
+        truncation_K=series[-1].K,
+        series_residual=max(0.0, *(sr.residual for sr in series)),
+        series_values=tuple(sr.value for sr in series),
+    )

@@ -373,3 +373,37 @@ def test_scan_core_validation():
         caputo_from_nth(np.sin, FracOrder(2.0), 0.0, [0.3, -0.1], QuadratureConfig())
     with pytest.raises(DomainError):
         singular_integral(np.cos, 0.0, 0.0, [0.3], QuadratureConfig())
+    with pytest.raises(DomainError):
+        singular_integral(np.cos, [0.5, 0.0], 0.0, [0.3], QuadratureConfig())
+    with pytest.raises(DomainError):
+        singular_integral(np.cos, [], 0.0, [0.3], QuadratureConfig())
+
+
+@pytest.mark.parametrize("estimate", [True, False])
+@pytest.mark.parametrize("nodes", [64, 65, 4096])
+def test_singular_integral_orders_equal_one_order_calls(nodes, estimate):
+    calls = []
+
+    def sampler(zs):
+        calls.append(len(zs))
+        return np.cos(zs) + zs**2
+
+    cfg = QuadratureConfig(nodes=nodes)
+    # 0.5 and 2 among them: NumPy's scalar power takes sqrt and square there
+    orders = np.array([0.3, 0.5, 1.0, 1.7, 2.0, 4.25])
+    xs = np.linspace(0.4, 2.0, 9)  # two row blocks at 4096 nodes
+    values, est = singular_integral(sampler, orders, 0.1, xs, cfg, estimate)
+    # the grids are sampled once for all the orders
+    batched_calls, calls[:] = list(calls), []
+    assert values.shape == (6, 9)
+    for i, order in enumerate(orders.tolist()):
+        one_values, one_est = singular_integral(sampler, order, 0.1, xs, cfg, estimate)
+        assert np.array_equal(values[i], one_values)
+        if estimate:
+            assert np.array_equal(est[i], one_est)
+        else:
+            assert est is None and one_est is None
+    assert calls == batched_calls * len(orders)
+    # a list of one order keeps the leading axis
+    values, _ = singular_integral(sampler, [0.3], 0.1, xs, cfg, estimate)
+    assert values.shape == (1, 9)

@@ -105,6 +105,22 @@ def test_rows_match_one_grid_at_a_time():
         product_quad_rows(v[0], h[:1], -0.3)  # not a block
 
 
+def test_rows_of_many_exponents_equal_one_exponent_calls():
+    # 0.5 and 2 are the exponents p = mu + 1 for which NumPy's scalar power
+    # takes sqrt and square; each row must still equal its one-exponent call
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((31, 129))
+    h = rng.uniform(0.001, 0.1, 31)
+    mus = np.array([-0.5, 0.0, 1.0, -0.7, 2.5, 119.0])
+    got = product_quad_rows(v, h, mus)
+    assert got.shape == (6, 31)
+    for row, mu in zip(got, mus.tolist()):
+        assert np.array_equal(row, product_quad_rows(v, h, mu))
+    assert product_quad_rows(v, h, [-0.5]).shape == (1, 31)
+    with pytest.raises(ValueError):
+        product_quad_rows(v, h, [[-0.5]])  # not a 1-d array of exponents
+
+
 def test_weights_are_read_only_and_cached_in_a_bounded_cache():
     w = product_weights(16, -0.5)
     assert w.shape == (17,)

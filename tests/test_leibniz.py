@@ -12,9 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclim.fracderiv
+import fraclim.leibniz
 from fraclim.exceptions import DomainError, UnsupportedProduct
-from fraclim.fracderiv import QuadratureConfig, rl_closed
-from fraclim.funcmodel import FuncExpr, PowerTerm, parse_expr, poly_product
+from fraclim.fracderiv import (
+    QuadratureConfig,
+    closed_form_applicable,
+    fractional_integral_fn,
+    power_parts,
+    rl_closed,
+    rl_derivative,
+    rl_power_value,
+)
+from fraclim.funcmodel import (
+    FuncExpr,
+    PowerTerm,
+    derivative,
+    evaluate,
+    evaluate_many,
+    parse_expr,
+    poly_product,
+)
 from fraclim.leibniz import (
     RULE_INTEGER_SUM,
     RULE_SYMMETRIZED,
@@ -24,9 +42,10 @@ from fraclim.leibniz import (
     integer_leibniz_report,
     leibniz_defect,
     rl_of_product,
+    series_leibniz_report,
     symmetrized_series,
 )
-from fraclim.specfun import FracOrder
+from fraclim.specfun import FracOrder, frac_binomial
 
 DEFECT_XX_HALF_AT_1 = -0.75225277806367504926
 SERIES_XX_HALF_AT_1 = 1.5045055561273500985  # 2/Gamma(2.5) = RL^1/2 of x^2 at 1
@@ -38,6 +57,7 @@ X2 = parse_expr("pow(c=1,x0=0,beta=2)")
 ONE = parse_expr("pow(c=1,x0=0,beta=0)")
 SIN = parse_expr("sin(c=1,w=1)")
 EXP = parse_expr("exp(c=1,lam=1)")
+POLY = parse_expr("pow(c=1,x0=0,beta=2) + pow(c=-0.5,x0=0,beta=1) + pow(c=2,x0=0,beta=0)")
 
 
 def test_defect_frozen_value():
@@ -120,8 +140,6 @@ def test_integer_leibniz_matches_product_derivative():
     fg = poly_product(X2, X2)  # x^4
     for n, x in ((1, 0.7), (2, 1.2), (3, 0.4)):
         direct = integer_leibniz(X2, X2, n, x)
-        from fraclim.funcmodel import derivative, evaluate
-
         assert direct == pytest.approx(evaluate(derivative(fg, n), x), rel=1e-12)
 
 
@@ -210,6 +228,32 @@ def test_series_validation():
         symmetrized_series(X, X, FracOrder(0.5), 0.0, 0.0)
 
 
+def test_series_report_matches_pointwise_calls():
+    pts = (0.3, 1.0, 1.7)
+    rep = series_leibniz_report(SIN, EXP, FracOrder(1.5), 0.0, pts, K=9)
+    series = [symmetrized_series(SIN, EXP, FracOrder(1.5), 0.0, x, K=9) for x in pts]
+    assert rep.rule_form == RULE_SYMMETRIZED
+    assert rep.points == pts
+    assert rep.series_values == tuple(sr.value for sr in series)
+    assert rep.defect == tuple(rl_of_product(SIN, EXP, FracOrder(1.5), 0.0, x) - sr.value
+                               for x, sr in zip(pts, series))
+    assert rep.max_abs_defect == max(abs(d) for d in rep.defect)
+    assert rep.truncation_K == 9
+    assert rep.series_residual == max(sr.residual for sr in series)
+    assert "series_values" not in rep.to_json_dict()
+    assert series_leibniz_report(X, X, 0.5, 0.0, (1.0,)).truncation_K == 2
+    with pytest.raises(DomainError):
+        series_leibniz_report(SIN, EXP, 0.5, 0.0, (0.3, -1.0))
+
+
+def test_series_below_min_gap_raises():
+    # the integer-order terms go through the same gap check as the rest
+    with pytest.raises(DomainError):
+        symmetrized_series(SIN, EXP, 2.0, 0.0, 1e-13)
+    with pytest.raises(DomainError):
+        symmetrized_series(SIN, EXP, 2.5, 0.0, 1e-13)
+
+
 def test_rl_of_product_matches_closed_form():
     # (1 + x)^2 expanded against the term-by-term RL power rule
     one_plus_x = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
@@ -291,8 +335,6 @@ def test_caputo_defect_sin_exp_against_mpmath(alpha):
 def test_integer_leibniz_property(n, x):
     f = parse_expr("pow(c=1,x0=0,beta=2) + pow(c=1,x0=0,beta=0)")
     g = parse_expr("pow(c=2,x0=0,beta=3) + pow(c=-1,x0=0,beta=1)")
-    from fraclim.funcmodel import derivative, evaluate
-
     fg = poly_product(f, g)
     assert integer_leibniz(f, g, n, x) == pytest.approx(
         evaluate(derivative(fg, n), x), rel=1e-10, abs=1e-10
@@ -310,3 +352,100 @@ def test_report_serialization():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "x,defect"
     assert len(lines) == 3
+
+
+# --- the batched routes equal their one-point, one-order forms exactly ---
+
+
+@pytest.mark.parametrize("operator", ["caputo", "rl"])
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN)], ids=["sin-exp", "poly-sin"])
+def test_defect_at_three_points_equals_one_point_calls(f, g, alpha, operator):
+    pts = (0.3, 0.9, 1.6)
+    rep = leibniz_defect(f, g, alpha, 0.0, pts, operator=operator)
+    assert rep.defect == tuple(leibniz_defect(f, g, alpha, 0.0, (x,), operator=operator).defect[0]
+                               for x in pts)
+
+
+def _series_reference(f, g, alpha, a, x, K, cfg):
+    """The symmetrized series term by term from the public operators: one
+    rl_derivative, fractional_integral_fn or power-rule call per order."""
+
+    def rl(h, order):
+        if order == 0.0:
+            return evaluate(h, x)
+        if order > 0.0:
+            return rl_derivative(h, order, a, x, cfg).value
+        if closed_form_applicable(h, a):
+            return sum(c * rl_power_value(beta, order, a, x) for c, beta in power_parts(h, a))
+        return fractional_integral_fn(lambda zs: evaluate_many(h, zs), -order, a, x, cfg)
+
+    terms = []
+    for k in range(K + 1):
+        b = frac_binomial(alpha, k, halved=True)
+        order = alpha - k
+        terms.append(0.0 if b == 0.0 else
+                     b * (rl(f, order) * evaluate(derivative(g, k), x)
+                          + rl(g, order) * evaluate(derivative(f, k), x)))
+    total = 0.0
+    for term in terms:
+        total += term
+    return total, abs(terms[-1])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (X2, POLY)],
+                         ids=["sin-exp", "poly-sin", "poly-poly"])
+def test_series_equals_per_term_reference(f, g, alpha):
+    cfg = QuadratureConfig(nodes=256)
+    for x, K in ((0.7, 6), (1.3, 12)):
+        sr = symmetrized_series(f, g, alpha, 0.0, x, K=K, cfg=cfg)
+        assert (sr.value, sr.residual) == _series_reference(f, g, alpha, 0.0, x, K, cfg)
+
+
+# --- work counts: a later edit must not bring back per-point or per-order work ---
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of core calls (singular_integral, as leibniz and fracderiv see
+    it) and the functions that leibniz samples, one entry per sampler call."""
+    counts = {"core": 0, "sampled": []}
+    core = fraclim.fracderiv.singular_integral
+
+    def counted_core(*args, **kwargs):
+        counts["core"] += 1
+        return core(*args, **kwargs)
+
+    def counted_sample(f, zs):
+        counts["sampled"].append(f)
+        return evaluate_many(f, zs)
+
+    monkeypatch.setattr(fraclim.fracderiv, "singular_integral", counted_core)
+    monkeypatch.setattr(fraclim.leibniz, "singular_integral", counted_core)
+    monkeypatch.setattr(fraclim.leibniz, "evaluate_many", counted_sample)
+    return counts
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.5])
+def test_series_samples_each_factor_once_for_its_integrals(work, alpha):
+    exp2 = parse_expr("exp(c=1,lam=2)")  # unlike e^x, not its own derivative
+    symmetrized_series(SIN, exp2, alpha, 0.0, 1.0, K=12)
+    # f and g themselves are sampled only for their 12 - n + 1 integrals,
+    # once each; each of the n derivative terms samples f^(n-k) or g^(n-k)
+    n = math.ceil(alpha)
+    assert work["sampled"].count(SIN) == 1
+    assert work["sampled"].count(exp2) == 1
+    assert len(work["sampled"]) == 2 * (1 + n)
+    assert work["core"] == 2 * (1 + n)
+
+
+def test_defect_core_calls_do_not_grow_with_points(work):
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.3, 0.9, 1.6))
+    # one core call each for D(fg), D f and D g, whatever the number of points
+    assert work["core"] == 3
+    three_points = len(work["sampled"])
+    work["sampled"].clear()
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.9,))
+    assert work["core"] == 6
+    assert len(work["sampled"]) == three_points
