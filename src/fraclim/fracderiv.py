@@ -1,7 +1,8 @@
 """Left-sided Caputo and Riemann-Liouville fractional derivatives.
 
-Closed forms cover power terms centered at the base point; everything else
-the symbolic layer can differentiate n times goes through product-integration
+Every function is taken term by term (``derivative_many``): power terms
+centered at the base point take the exact power rule, and the rest, which
+the symbolic layer can differentiate n times, goes through product-integration
 quadrature of the singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
@@ -25,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, UnsupportedFunction
-from .funcmodel import FuncExpr, PowerTerm, derivative, evaluate, evaluate_many
+from .funcmodel import (
+    FuncExpr,
+    PowerTerm,
+    derivative,
+    derivative_chain,
+    evaluate,
+    evaluate_many,
+)
 from .kernels import product_quad_rows
 from .specfun import FracOrder, as_order, gamma, rgamma
 
@@ -39,15 +47,17 @@ __all__ = [
     "caputo_power",
     "caputo_power_coefficient",
     "caputo_quadrature",
-    "closed_form_applicable",
+    "derivative_many",
     "fractional_integral_fn",
     "power_parts",
+    "power_rule",
     "rl_caputo_bridge",
     "rl_closed",
     "rl_derivative",
     "rl_power",
     "rl_power_value",
     "singular_integral",
+    "split_powers",
 ]
 
 KIND_CAPUTO = "Caputo"
@@ -79,8 +89,8 @@ class QuadratureConfig:
 class DerivResult:
     """A single derivative evaluation.
 
-    ``est_error`` is present exactly when the value came from quadrature
-    (Richardson estimate from the half-resolution grid).
+    ``est_error`` is present exactly when the method is Quadrature: the
+    Richardson estimate of the quadrature that some term of f went through.
     """
 
     value: float
@@ -122,88 +132,81 @@ def caputo_power_coefficient(beta: float, alpha: FracOrder) -> float:
     return gamma(beta + 1.0) * rgamma(beta - alpha.alpha + 1.0)
 
 
+def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> list:
+    """The power rule summed over ``parts``, [(c, beta)] for the terms
+    c (x - a)^beta, at every x in ``xs``: Caputo of a positive ``order``, or
+    RL of any real order (negative: a fractional integral).  The coefficients
+    are taken once; each point sums Python scalars, a Caputo term as
+    (c * coefficient) * power, an RL term as c * (coefficient * power)."""
+    alpha = as_order(order) if kind == KIND_CAPUTO else None
+    terms = []
+    for c, beta in parts:
+        if kind == KIND_CAPUTO:
+            scale, coef = 1.0, c * caputo_power_coefficient(beta, alpha)
+        else:
+            scale, coef = c, gamma(beta + 1.0) * rgamma(beta + 1.0 - order)
+        if coef != 0.0:
+            terms.append((scale, coef, beta - order))
+    values = []
+    for x in xs:
+        value = 0.0
+        for scale, coef, p in terms:
+            value += scale * (coef * (x - a) ** p)
+        values.append(value)
+    return values
+
+
 def rl_power_value(beta: float, order: float, a: float, x: float) -> float:
     """Riemann-Liouville power rule Gamma(b+1)/Gamma(b+1-order) (x-a)^(b-order).
 
     ``order`` may be any real: positive (derivative), zero (identity) or
     negative (fractional integral); the formula is one and the same.
     """
-    coef = gamma(beta + 1.0) * rgamma(beta + 1.0 - order)
-    if coef == 0.0:
-        return 0.0
-    return coef * (x - a) ** (beta - order)
+    return power_rule(((1.0, beta),), order, a, (x,), KIND_RL)[0]
 
 
 def caputo_power(beta: float, alpha, a: float, x: float) -> DerivResult:
     """Caputo derivative of (x - a)**beta, beta > -1, at x > a."""
-    alpha = as_order(alpha)
-    _check_interval(a, x)
-    if not beta > -1.0:
-        raise DomainError(f"beta must exceed -1, got {beta!r}")
-    coef = caputo_power_coefficient(beta, alpha)
-    value = 0.0 if coef == 0.0 else coef * (x - a) ** (beta - alpha.alpha)
-    return DerivResult(value, KIND_CAPUTO, METHOD_CLOSED)
+    return caputo_derivative(FuncExpr((PowerTerm(1.0, a, beta),)), alpha, a, x)
 
 
 def rl_power(beta: float, alpha, a: float, x: float) -> DerivResult:
     """Riemann-Liouville derivative of (x - a)**beta; constants do NOT die."""
-    alpha = as_order(alpha)
-    _check_interval(a, x)
-    if not beta > -1.0:
-        raise DomainError(f"beta must exceed -1, got {beta!r}")
-    return DerivResult(rl_power_value(beta, alpha.alpha, a, x), KIND_RL, METHOD_CLOSED)
+    return rl_derivative(FuncExpr((PowerTerm(1.0, a, beta),)), alpha, a, x)
+
+
+def split_powers(f: FuncExpr, a: float):
+    """(parts, rest) of f about a: ``parts`` is [(c, beta)] for the power
+    terms centered at a and the constants, whatever their recorded center;
+    ``rest`` is the FuncExpr of every other term."""
+    parts, rest = [], []
+    for t in f.terms:
+        if isinstance(t, PowerTerm) and (t.beta == 0.0 or t.x0 == a):
+            parts.append((t.c, t.beta))
+        else:
+            rest.append(t)
+    return parts, FuncExpr(rest)
 
 
 def power_parts(f: FuncExpr, a: float):
-    """Decompose f into [(c, beta)] about center a, or raise.
-
-    Constant terms are accepted regardless of their recorded center since
-    (x - x0)^0 == (x - a)^0; any other term must be a PowerTerm with x0 == a.
-    """
-    parts = []
-    for t in f.terms:
-        if not isinstance(t, PowerTerm):
-            raise UnsupportedFunction(f"term {t!r} has no closed-form power rule")
-        if t.beta == 0.0:
-            parts.append((t.c, 0.0))
-        elif t.x0 == a:
-            parts.append((t.c, t.beta))
-        else:
-            raise UnsupportedFunction(
-                f"power term centered at {t.x0!r} cannot be differentiated about {a!r}"
-            )
+    """The ``parts`` of split_powers(f, a); UnsupportedFunction when f has
+    any other term."""
+    parts, rest = split_powers(f, a)
+    if not rest.is_zero():
+        raise UnsupportedFunction(f"{rest!r} has no closed-form power rule about {a!r}")
     return parts
-
-
-def closed_form_applicable(f: FuncExpr, a: float) -> bool:
-    """True when caputo_closed / rl_closed accept f about a."""
-    try:
-        power_parts(f, a)
-    except UnsupportedFunction:
-        return False
-    return True
 
 
 def caputo_closed(f: FuncExpr, alpha, a: float, x: float) -> DerivResult:
     """Term-by-term Caputo power rule for power functions centered at a."""
-    alpha = as_order(alpha)
-    _check_interval(a, x)
-    value = 0.0
-    for c, beta in power_parts(f, a):
-        coef = c * caputo_power_coefficient(beta, alpha)
-        if coef != 0.0:
-            value += coef * (x - a) ** (beta - alpha.alpha)
-    return DerivResult(value, KIND_CAPUTO, METHOD_CLOSED)
+    power_parts(f, a)  # UnsupportedFunction for any other f
+    return caputo_derivative(f, alpha, a, x)
 
 
 def rl_closed(f: FuncExpr, alpha, a: float, x: float) -> DerivResult:
     """Term-by-term Riemann-Liouville power rule."""
-    alpha = as_order(alpha)
-    _check_interval(a, x)
-    value = 0.0
-    for c, beta in power_parts(f, a):
-        value += c * rl_power_value(beta, alpha.alpha, a, x)
-    return DerivResult(value, KIND_RL, METHOD_CLOSED)
+    power_parts(f, a)  # UnsupportedFunction for any other f
+    return rl_derivative(f, alpha, a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +276,12 @@ def singular_integral(sampler, order, a: float, xs,
 
 
 def caputo_from_nth(sampler, alpha, a: float, xs,
-                    cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True):
+                    cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True,
+                    at_a=None):
     """Caputo derivative at every x in ``xs`` of a function f, as arrays of
     values and error estimates; ``sampler`` maps a 1-d array of points z to
-    f^(n)(z).
+    f^(n)(z).  Given ``at_a``, the f^(k)(a) for k < n, the values gain the
+    ``boundary_terms`` and are the Riemann-Liouville derivative.
 
     Integer alpha takes the exact sampler(xs) with estimate 0 (the singular
     integral degenerates there: Gamma(n - alpha) has a pole); fractional alpha
@@ -285,12 +290,17 @@ def caputo_from_nth(sampler, alpha, a: float, xs,
     for the estimates.
     """
     alpha = as_order(alpha)
+    xs = np.array(xs, dtype=np.float64).reshape(-1)
     if alpha.is_integer:
-        xs = np.array(xs, dtype=np.float64).reshape(-1)
         for x in xs.tolist():
             _check_gap(a, x, cfg)
-        return np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
-    return singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg, estimate)
+        values, est_errors = np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
+    else:
+        values, est_errors = singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg,
+                                               estimate)
+    if at_a is not None:
+        values = values + [boundary_terms(at_a, alpha, a, x) for x in xs.tolist()]
+    return values, est_errors
 
 
 def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,
@@ -345,32 +355,61 @@ def rl_caputo_bridge(f: FuncExpr, alpha, a: float, x: float,
     """RL derivative as Caputo plus ``boundary_terms``."""
     alpha = as_order(alpha)
     _check_interval(a, x)
-    at_a = [evaluate(f, a)]
-    g = f
-    for _ in range(alpha.n - 1):
-        g = derivative(g, 1)
-        at_a.append(evaluate(g, a))
+    at_a = [evaluate(g, a) for g in derivative_chain([f], alpha.n - 1)]
     value = caputo_derivative(f, alpha, a, x, cfg).value + boundary_terms(at_a, alpha, a, x)
     return DerivResult(value, KIND_RL, METHOD_BRIDGE)
 
 
 # ---------------------------------------------------------------------------
-# friendly dispatchers
+# term-by-term routing
+
+
+def derivative_many(f: FuncExpr, alpha, a: float, xs,
+                    cfg: QuadratureConfig = QuadratureConfig(), kind: str = KIND_CAPUTO,
+                    estimate: bool = True):
+    """Caputo (or, for ``kind=KIND_RL``, RL) derivative of f at every x in
+    ``xs``, as (values, est_errors, method).
+
+    The ``parts`` of split_powers(f, a) take ``power_rule`` point by point;
+    the rest is one ``caputo_from_nth`` call on rest^(n) over all the points,
+    plus its ``boundary_terms`` for RL.  The estimates are the rest's (0 when
+    it is empty or the order an integer; None for ``estimate=False``).  The
+    method is ClosedForm for an empty rest, or Caputo at an integer order;
+    otherwise Quadrature for Caputo and Bridge for RL.
+    """
+    alpha = as_order(alpha)
+    a = float(a)
+    xs = [float(x) for x in xs]
+    for x in xs:
+        _check_interval(a, x)
+    parts, rest = split_powers(f, a)
+    values, est_errors, method = [0.0] * len(xs), [0.0] * len(xs), METHOD_CLOSED
+    if not rest.is_zero():
+        chain = derivative_chain([rest], alpha.n)
+        at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
+        values, est_errors = caputo_from_nth(lambda zs: evaluate_many(chain[-1], zs),
+                                             alpha, a, xs, cfg, estimate, at_a)
+        if kind == KIND_RL or not alpha.is_integer:
+            method = METHOD_BRIDGE if kind == KIND_RL else METHOD_QUAD
+    if parts:  # the rest's value first; with no power term it stands as it is
+        power = power_rule(parts, alpha.alpha, a, xs, kind)
+        values = [v + p for v, p in zip(values, power)]
+    est_errors = [float(e) for e in est_errors] if estimate else None
+    return [float(v) for v in values], est_errors, method
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """Caputo derivative by the best route: closed form, else quadrature."""
-    try:
-        return caputo_closed(f, alpha, a, x)
-    except UnsupportedFunction:
-        return caputo_quadrature(f, alpha, a, x, cfg)
+    """Caputo derivative at x: the one-point case of ``derivative_many``,
+    with its estimate when the method is Quadrature."""
+    (value,), (est,), method = derivative_many(f, alpha, a, (x,), cfg)
+    return DerivResult(value, KIND_CAPUTO, method, est if method == METHOD_QUAD else None)
 
 
 def rl_derivative(f: FuncExpr, alpha, a: float, x: float,
                   cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """RL derivative by the best route: closed form, else the bridge."""
-    try:
-        return rl_closed(f, alpha, a, x)
-    except UnsupportedFunction:
-        return rl_caputo_bridge(f, alpha, a, x, cfg)
+    """Riemann-Liouville derivative at x: the one-point case of
+    ``derivative_many``, ClosedForm when every term of f takes the power rule
+    and Bridge otherwise."""
+    (value,), _, method = derivative_many(f, alpha, a, (x,), cfg, KIND_RL, estimate=False)
+    return DerivResult(value, KIND_RL, method)

@@ -26,6 +26,7 @@ __all__ = [
     "SinTerm",
     "TaylorPoly",
     "derivative",
+    "derivative_chain",
     "evaluate",
     "evaluate_many",
     "format_expr",
@@ -215,6 +216,15 @@ def derivative(f: FuncExpr, k: int) -> FuncExpr:
     for _ in range(int(k)):
         g = _d1(g)
     return g
+
+
+def derivative_chain(chain, top: int) -> list:
+    """The list [f, f', ..., f^(top)] from its first entries ``chain``, one
+    derivative step apart."""
+    chain = list(chain)
+    while len(chain) <= top:
+        chain.append(derivative(chain[-1], 1))
+    return chain
 
 
 def _d1(f: FuncExpr) -> FuncExpr:

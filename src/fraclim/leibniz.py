@@ -21,19 +21,20 @@ from dataclasses import dataclass
 
 from .exceptions import DomainError, UnsupportedProduct
 from .fracderiv import (
+    KIND_CAPUTO,
+    KIND_RL,
     QuadratureConfig,
     boundary_terms,
-    caputo_closed,
     caputo_from_nth,
-    closed_form_applicable,
-    power_parts,
-    rl_closed,
-    rl_power_value,
+    derivative_many,
+    power_rule,
     singular_integral,
+    split_powers,
 )
 from .funcmodel import (
     FuncExpr,
     derivative,
+    derivative_chain,
     evaluate,
     evaluate_many,
     poly_product,
@@ -131,25 +132,15 @@ def _check_points(a, points):
                           f"got {points!r}")
 
 
-def _derivatives(chain, top):
-    """The list [f, f', ..., f^(top)] from its first entries ``chain``, one
-    derivative step apart."""
-    chain = list(chain)
-    while len(chain) <= top:
-        chain.append(derivative(chain[-1], 1))
-    return chain
-
-
 def _sampler(f):
     return lambda zs: evaluate_many(f, zs)
 
 
-def _product_nth_values(f, g, n):
+def _product_nth_values(fs, gs, n):
     """Callable sampling (fg)^(n) via the integer Leibniz expansion of the
-    symbolic factor derivatives (exact binomials, exact derivatives)."""
-    pairs = [
-        (math.comb(n, j), derivative(f, j), derivative(g, n - j)) for j in range(n + 1)
-    ]
+    symbolic factor derivatives fs[j] = f^(j) and gs[j] = g^(j), j <= n
+    (exact binomials, exact derivatives)."""
+    pairs = [(math.comb(n, j), fs[j], gs[n - j]) for j in range(n + 1)]
 
     def values(zs):
         total = 0.0
@@ -160,41 +151,21 @@ def _product_nth_values(f, g, n):
     return values
 
 
-def _d_from_nth(nth, at_a, alpha, a, pts, cfg):
-    """D^alpha at every point of pts of the function whose n-th derivative
-    ``nth`` samples: one caputo_from_nth call over all the points, without
-    the half-resolution pass, whose estimate no caller here reads.  Given
-    ``at_a``, the function's derivatives of orders 0..n-1 at a, the boundary
-    terms are added and the result is the RL derivative; given None, it is
-    the Caputo one."""
-    values, _ = caputo_from_nth(nth, alpha, a, pts, cfg, estimate=False)
-    if at_a is None:
-        return [float(v) for v in values]
-    return [float(v) + boundary_terms(at_a, alpha, a, x) for v, x in zip(values, pts)]
-
-
-def _d_function(f, alpha, a, pts, cfg, operator):
-    """D^alpha f at every point of pts: the closed form point by point for a
-    power sum centered at a, else one _d_from_nth on the exact f^(n)."""
-    if closed_form_applicable(f, a):
-        closed = caputo_closed if operator == "caputo" else rl_closed
-        return [closed(f, alpha, a, x).value for x in pts]
-    chain = _derivatives([f], alpha.n)
-    at_a = None if operator == "caputo" else [evaluate(fk, a) for fk in chain[:-1]]
-    return _d_from_nth(_sampler(chain[-1]), at_a, alpha, a, pts, cfg)
-
-
-def _d_product(f, g, alpha, a, pts, cfg, operator):
+def _d_product(f, g, alpha, a, pts, cfg, kind):
     """D^alpha(fg) at every point of pts: a product of two polynomials is
-    multiplied out for _d_function; any other is one _d_from_nth on the
-    Leibniz-expanded (fg)^(n)."""
+    multiplied out for derivative_many; any other is one caputo_from_nth call
+    on the Leibniz-expanded (fg)^(n), each factor derived once, without the
+    half-resolution pass."""
     try:
         fg = poly_product(f, g)
     except UnsupportedProduct:
-        at_a = None if operator == "caputo" else [
-            float(_product_nth_values(f, g, k)([a])[0]) for k in range(alpha.n)]
-        return _d_from_nth(_product_nth_values(f, g, alpha.n), at_a, alpha, a, pts, cfg)
-    return _d_function(fg, alpha, a, pts, cfg, operator)
+        fs = derivative_chain([f], alpha.n)
+        gs = derivative_chain([g], alpha.n)
+        at_a = None if kind == KIND_CAPUTO else [
+            float(_product_nth_values(fs, gs, k)([a])[0]) for k in range(alpha.n)]
+        nth = _product_nth_values(fs, gs, alpha.n)
+        return caputo_from_nth(nth, alpha, a, pts, cfg, False, at_a)[0].tolist()
+    return derivative_many(fg, alpha, a, pts, cfg, kind, estimate=False)[0]
 
 
 def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -205,7 +176,7 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     a = float(a)
     x = float(x)
     _check_points(a, (x,))
-    return _d_product(f, g, alpha, a, (x,), cfg, "rl")[0]
+    return _d_product(f, g, alpha, a, (x,), cfg, KIND_RL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +191,16 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     ``operator`` selects Caputo (default) or RL ("rl").  The defect vanishes
     identically only at alpha = 1.
     """
-    if operator not in ("caputo", "rl"):
+    kind = {"caputo": KIND_CAPUTO, "rl": KIND_RL}.get(operator)
+    if kind is None:
         raise ValueError(f"operator must be 'caputo' or 'rl', got {operator!r}")
     alpha = as_order(alpha)
     a = float(a)
     pts = tuple(float(p) for p in points)
     _check_points(a, pts)
-    dfg = _d_product(f, g, alpha, a, pts, cfg, operator)
-    df = _d_function(f, alpha, a, pts, cfg, operator)
-    dg = _d_function(g, alpha, a, pts, cfg, operator)
+    dfg = _d_product(f, g, alpha, a, pts, cfg, kind)
+    df = derivative_many(f, alpha, a, pts, cfg, kind, estimate=False)[0]
+    dg = derivative_many(g, alpha, a, pts, cfg, kind, estimate=False)[0]
     defects = [dfg[i] - df[i] * evaluate(g, x) - evaluate(f, x) * dg[i]
                for i, x in enumerate(pts)]
     return LeibnizReport(
@@ -246,16 +218,16 @@ def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
     if n != int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    x = float(x)
+    return _integer_sum(derivative_chain([f], n), derivative_chain([g], n), n, float(x))
+
+
+def _integer_sum(fs, gs, n, x):
+    """integer_leibniz at x from fs[j] = f^(j) and gs[j] = g^(j), j <= n."""
     if not math.isfinite(x):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
     total = 0.0
     for k in range(n + 1):
-        total += (
-            frac_binomial(float(n), k)
-            * evaluate(derivative(f, n - k), x)
-            * evaluate(derivative(g, k), x)
-        )
+        total += frac_binomial(float(n), k) * evaluate(fs[n - k], x) * evaluate(gs[k], x)
     return total
 
 
@@ -273,7 +245,9 @@ def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizRe
     if not pts:
         raise DomainError("need at least one evaluation point")
     exact = derivative(poly_product(f, g), alpha.n)
-    defects = [evaluate(exact, x) - integer_leibniz(f, g, alpha.n, x) for x in pts]
+    fs = derivative_chain([f], alpha.n)
+    gs = derivative_chain([g], alpha.n)
+    defects = [evaluate(exact, x) - _integer_sum(fs, gs, alpha.n, x) for x in pts]
     return LeibnizReport(
         alpha=alpha,
         points=pts,
@@ -288,31 +262,32 @@ def _rl_orders(chain, alpha, live, a, x, cfg):
     x, where chain[j] is f^(j): derivatives for k < alpha, f itself at
     k == alpha and fractional integrals past it.
 
-    A power sum centered at a takes the power rule.  Otherwise every
-    integral comes from one sample of f on the grid of [a, x], and the
-    derivative of order alpha - k is _d_from_nth on f^(n-k), with the
-    f^(j)(a) of its boundary terms taken once."""
+    The power terms of f centered at a take the power rule.  Of the rest of
+    f, every integral comes from one sample on the grid of [a, x], and the
+    derivative of order alpha - k is caputo_from_nth on rest^(n-k), with the
+    rest^(j)(a) of its boundary terms taken once."""
     f = chain[0]
     orders = [alpha.alpha - k for k in range(live)]
-    if closed_form_applicable(f, a):
-        parts = power_parts(f, a)
-        return [evaluate(f, x) if order == 0.0
-                else sum(c * rl_power_value(beta, order, a, x) for c, beta in parts)
-                for order in orders]
-    chain = _derivatives(chain, alpha.n)
-    at_a = [evaluate(fj, a) for fj in chain[:alpha.n]]
-    out = []
-    for order in orders:
-        if order > 0.0:
-            d = FracOrder(order)
-            out += _d_from_nth(_sampler(chain[d.n]), at_a[:d.n], d, a, (x,), cfg)
-        elif order == 0.0:
-            out.append(evaluate(f, x))
-    integrals = [-order for order in orders if order < 0.0]
-    if integrals:
-        values, _ = singular_integral(_sampler(f), integrals, a, (x,), cfg, estimate=False)
-        out += [float(v) for v in values[:, 0]]
-    return out
+    parts, rest = split_powers(f, a)
+    terms = [power_rule(parts, order, a, (x,), KIND_RL)[0] for order in orders]
+    if not rest.is_zero():
+        rests = derivative_chain([rest] if parts else chain, alpha.n)
+        at_a = [evaluate(rj, a) for rj in rests[:alpha.n]]
+        quad = []
+        for order in orders:
+            if order > 0.0:
+                d = FracOrder(order)
+                quad += caputo_from_nth(_sampler(rests[d.n]), d, a, (x,), cfg, False,
+                                        at_a[:d.n])[0].tolist()
+            elif order == 0.0:
+                quad.append(0.0)  # f(x) itself, below
+        integrals = [-order for order in orders if order < 0.0]
+        if integrals:
+            values, _ = singular_integral(_sampler(rests[0]), integrals, a, (x,), cfg,
+                                          estimate=False)
+            quad += [float(v) for v in values[:, 0]]
+        terms = [q + p for q, p in zip(quad, terms)] if parts else quad
+    return [evaluate(f, x) if order == 0.0 else t for order, t in zip(orders, terms)]
 
 
 def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -342,8 +317,8 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     # b is zero exactly for the k past an integer alpha, so the k whose
     # terms live are 0 .. live - 1
     live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)
-    fs = _derivatives([f], live - 1)
-    gs = _derivatives([g], live - 1)
+    fs = derivative_chain([f], live - 1)
+    gs = derivative_chain([g], live - 1)
     df = _rl_orders(fs, alpha, live, a, x, cfg)
     dg = _rl_orders(gs, alpha, live, a, x, cfg)
     terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
@@ -367,7 +342,7 @@ def series_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     pts = tuple(float(p) for p in points)
     _check_points(a, pts)
     series = [symmetrized_series(f, g, alpha, a, x, K, cfg) for x in pts]
-    refs = _d_product(f, g, alpha, a, pts, cfg, "rl")
+    refs = _d_product(f, g, alpha, a, pts, cfg, KIND_RL)
     defects = [ref - sr.value for ref, sr in zip(refs, series)]
     return LeibnizReport(
         alpha=alpha,

@@ -24,14 +24,12 @@ import numpy as np
 from .exceptions import DomainError, InsufficientData
 from .fracderiv import (
     QuadratureConfig,
-    caputo_closed,
-    caputo_from_nth,
     caputo_power_coefficient,
-    closed_form_applicable,
+    derivative_many,
     power_parts,
 )
-from .funcmodel import FuncExpr, derivative, evaluate, evaluate_many
-from .specfun import FracOrder, as_order, rgamma
+from .funcmodel import FuncExpr, derivative, evaluate
+from .specfun import as_order, rgamma
 
 __all__ = [
     "CLASS_DIVERGENT",
@@ -134,41 +132,17 @@ def _base_point(a) -> float:
     return a
 
 
-def _scan(f: FuncExpr, alpha: FracOrder, a: float, cfg: ScanConfig):
-    """The scan's samples, and f^(n) or None when it leaves the function
-    class (only the closed route survives that).
-
-    The closed form is used when f is a power sum centered at a.  Otherwise
-    f^(n) is derived once and the whole scan is one ``caputo_from_nth`` call:
-    the exact f^(n)(x) at an integer order, product-integration quadrature
-    with cfg.quad at a fractional one.
-    """
-    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
-    if closed_form_applicable(f, a):
-        values = [caputo_closed(f, alpha, a, x).value for x in xs]
-        est_errors = [0.0] * len(xs)
-        try:
-            fn = derivative(f, alpha.n)
-        except DomainError:
-            fn = None
-    else:
-        fn = derivative(f, alpha.n)
-        values, est_errors = caputo_from_nth(lambda zs: evaluate_many(fn, zs), alpha, a,
-                                             xs, cfg.quad)
-    samples = [
-        LfdSample(x, float(v), float(e), x - a, not e > abs(v))
-        for x, v, e in zip(xs, values, est_errors)
-    ]
-    return samples, fn
-
-
 def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> list:
-    """Sample the Caputo derivative along the geometric sequence.
-
-    Each point uses the closed form when f is a power sum centered at a,
-    else product-integration quadrature with cfg.quad.
-    """
-    return _scan(f, as_order(alpha), _base_point(a), cfg)[0]
+    """Sample the Caputo derivative along the geometric sequence: one
+    ``derivative_many`` call over the whole scan, with the power terms of f
+    centered at a in closed form and every other term by quadrature with
+    cfg.quad (exact at an integer order).  A sample's est_error is that
+    quadrature's estimate, 0 when f has no such term."""
+    a = _base_point(a)
+    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
+    values, est_errors, _ = derivative_many(f, alpha, a, xs, cfg.quad)
+    return [LfdSample(x, v, e, x - a, not e > abs(v))
+            for x, v, e in zip(xs, values, est_errors)]
 
 
 def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
@@ -240,12 +214,11 @@ def lfd_report(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig(),
     """Scan plus classification, with the theory-side fields filled in."""
     alpha = as_order(alpha)
     a = _base_point(a)
-    samples, fn = _scan(f, alpha, a, cfg)
-    theory_prefactor = None
-    if fn is not None:
-        try:
-            theory_prefactor = evaluate(fn, a) * rgamma(alpha.n + 1.0 - alpha.alpha)
-        except DomainError:
-            pass
+    samples = lfd_scan(f, alpha, a, cfg)
+    try:
+        theory_prefactor = (evaluate(derivative(f, alpha.n), a)
+                            * rgamma(alpha.n + 1.0 - alpha.alpha))
+    except DomainError:  # f^(n) leaves the function class or is singular at a
+        theory_prefactor = None
     return lfd_classify(samples, alpha, exponent_tol=exponent_tol,
                         theory_prefactor=theory_prefactor)

@@ -29,7 +29,7 @@ from fraclim.fracderiv import (
     caputo_power,
     caputo_power_coefficient,
     caputo_quadrature,
-    closed_form_applicable,
+    derivative_many,
     fractional_integral_fn,
     power_parts,
     rl_caputo_bridge,
@@ -38,6 +38,7 @@ from fraclim.fracderiv import (
     rl_power,
     rl_power_value,
     singular_integral,
+    split_powers,
 )
 from fraclim.funcmodel import FuncExpr, PowerTerm, parse_expr
 from fraclim.specfun import FracOrder
@@ -285,12 +286,44 @@ def test_dispatchers_pick_routes():
     assert rl_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_BRIDGE
 
 
-def test_closed_form_applicable():
-    assert closed_form_applicable(X2, 0.0)
-    assert not closed_form_applicable(X2, 0.5)  # off-center
-    assert not closed_form_applicable(SIN, 0.0)
+# x^0.3 + 2x + sin: f' and f'' are singular at a = 0, so no quadrature can
+# take the power term; it must take the power rule
+MIXED = parse_expr("pow(c=1,x0=0,beta=0.3) + pow(c=2,x0=0,beta=1) + sin(c=1,w=1)")
+
+
+def test_mixed_sum_takes_power_terms_exactly():
+    r = caputo_derivative(MIXED, 1.5, 0.0, 0.7, QuadratureConfig(nodes=1024))
+    assert r.method == METHOD_QUAD
+    exact = math.gamma(1.3) / math.gamma(-0.2) * 0.7**-1.2 + CAPUTO_3HALF_SIN_AT_07
+    assert r.value == pytest.approx(exact, abs=1e-7)
+    r = caputo_derivative(MIXED, 2, 0.0, 0.7)
+    assert r.method == METHOD_CLOSED and r.est_error is None
+    assert r.value == pytest.approx(0.3 * -0.7 * 0.7**-1.7 - math.sin(0.7), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", [KIND_CAPUTO, KIND_RL])
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+def test_derivative_many_equals_one_point_calls(kind, alpha):
+    pts = (0.3, 0.9, 1.6)
+    values, est_errors, method = derivative_many(MIXED, alpha, 0.0, pts, kind=kind)
+    one = caputo_derivative if kind == KIND_CAPUTO else rl_derivative
+    results = [one(MIXED, alpha, 0.0, x) for x in pts]
+    assert values == [r.value for r in results]
+    assert {r.method for r in results} == {method}
+    if method == METHOD_QUAD:
+        assert est_errors == [r.est_error for r in results]
+    assert derivative_many(MIXED, alpha, 0.0, pts, kind=kind, estimate=False)[:2] == (
+        values, None)
+
+
+def test_split_powers():
+    assert split_powers(X2, 0.0) == ([(1.0, 2.0)], FuncExpr())
+    assert split_powers(X2, 0.5) == ([], X2)  # off-center: the rest
+    assert split_powers(SIN, 0.0) == ([], SIN)
     # constants are center-agnostic
-    assert closed_form_applicable(parse_expr("pow(c=4,x0=9,beta=0)"), 0.0)
+    assert split_powers(parse_expr("pow(c=4,x0=9,beta=0)"), 0.0) == ([(4.0, 0.0)], FuncExpr())
+    off = parse_expr("pow(c=3,x0=1,beta=0.5)")
+    assert split_powers(X2 + SIN + off, 0.0) == ([(1.0, 2.0)], SIN + off)
 
 
 def test_power_parts_errors():
@@ -328,6 +361,10 @@ def test_non_finite_points_raise(a, x):
         caputo_derivative(SIN, 0.5, a, x)
     with pytest.raises(DomainError):
         caputo_derivative(X2, 0.5, a, x)  # closed route
+    with pytest.raises(DomainError):
+        caputo_power(0.5, 0.5, a, x)
+    with pytest.raises(DomainError):
+        rl_power(0.5, 0.5, a, x)
     with pytest.raises(DomainError):
         rl_derivative(SIN, 0.5, a, x)
     with pytest.raises(DomainError):

@@ -13,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclim.fracderiv
+import fraclim.funcmodel
 import fraclim.leibniz
 from fraclim.exceptions import DomainError, UnsupportedProduct
 from fraclim.fracderiv import (
     QuadratureConfig,
-    closed_form_applicable,
     fractional_integral_fn,
-    power_parts,
     rl_closed,
     rl_derivative,
     rl_power_value,
+    split_powers,
 )
 from fraclim.funcmodel import (
     FuncExpr,
@@ -58,6 +58,9 @@ ONE = parse_expr("pow(c=1,x0=0,beta=0)")
 SIN = parse_expr("sin(c=1,w=1)")
 EXP = parse_expr("exp(c=1,lam=1)")
 POLY = parse_expr("pow(c=1,x0=0,beta=2) + pow(c=-0.5,x0=0,beta=1) + pow(c=2,x0=0,beta=0)")
+# a power term the power rule takes plus a term the quadrature takes; beta
+# high enough for the series' twelve derivatives
+MIXED = parse_expr("pow(c=1,x0=0,beta=12.5) + sin(c=1,w=1)")
 
 
 def test_defect_frozen_value():
@@ -359,7 +362,8 @@ def test_report_serialization():
 
 @pytest.mark.parametrize("operator", ["caputo", "rl"])
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5])
-@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN)], ids=["sin-exp", "poly-sin"])
+@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (MIXED, EXP)],
+                         ids=["sin-exp", "poly-sin", "mixed-exp"])
 def test_defect_at_three_points_equals_one_point_calls(f, g, alpha, operator):
     pts = (0.3, 0.9, 1.6)
     rep = leibniz_defect(f, g, alpha, 0.0, pts, operator=operator)
@@ -376,9 +380,12 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
             return evaluate(h, x)
         if order > 0.0:
             return rl_derivative(h, order, a, x, cfg).value
-        if closed_form_applicable(h, a):
-            return sum(c * rl_power_value(beta, order, a, x) for c, beta in power_parts(h, a))
-        return fractional_integral_fn(lambda zs: evaluate_many(h, zs), -order, a, x, cfg)
+        parts, rest = split_powers(h, a)
+        power = sum(c * rl_power_value(beta, order, a, x) for c, beta in parts)
+        if rest.is_zero():
+            return power
+        integral = fractional_integral_fn(lambda zs: evaluate_many(rest, zs), -order, a, x, cfg)
+        return integral + power if parts else integral
 
     terms = []
     for k in range(K + 1):
@@ -394,8 +401,8 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5])
-@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (X2, POLY)],
-                         ids=["sin-exp", "poly-sin", "poly-poly"])
+@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (X2, POLY), (MIXED, EXP)],
+                         ids=["sin-exp", "poly-sin", "poly-poly", "mixed-exp"])
 def test_series_equals_per_term_reference(f, g, alpha):
     cfg = QuadratureConfig(nodes=256)
     for x, K in ((0.7, 6), (1.3, 12)):
@@ -449,3 +456,22 @@ def test_defect_core_calls_do_not_grow_with_points(work):
     leibniz_defect(SIN, EXP, 0.5, 0.0, (0.9,))
     assert work["core"] == 6
     assert len(work["sampled"]) == three_points
+
+
+def test_products_derive_each_factor_once(monkeypatch):
+    steps = []
+    d1 = fraclim.funcmodel._d1
+
+    def counted_d1(f):
+        steps.append(f)
+        return d1(f)
+
+    monkeypatch.setattr(fraclim.funcmodel, "_d1", counted_d1)
+    rl_of_product(SIN, EXP, 2.5, 0.0, 1.0)
+    # f^(k) and g^(k), k = 1..3, once each, for the sampler of (fg)^(3) and
+    # the boundary values (fg)^(k)(a) alike
+    assert len(steps) == 6
+    steps.clear()
+    integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))
+    # (fg)'' plus f', f'' and g', g'', whatever the number of points
+    assert len(steps) == 6

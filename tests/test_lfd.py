@@ -7,7 +7,14 @@ import math
 import pytest
 
 from fraclim.exceptions import DomainError, InsufficientData
-from fraclim.fracderiv import QuadratureConfig, caputo_quadrature
+from fraclim.fracderiv import (
+    METHOD_BRIDGE,
+    METHOD_QUAD,
+    QuadratureConfig,
+    caputo_derivative,
+    caputo_quadrature,
+    rl_derivative,
+)
 from fraclim.funcmodel import parse_expr
 from fraclim.lfd import (
     CLASS_DIVERGENT,
@@ -57,11 +64,19 @@ def test_scan_matches_pointwise_quadrature(nodes):
             assert s.est_error == pytest.approx(one.est_error, rel=1e-13, abs=1e-300)
 
 
-def test_mixed_fractional_power_sum_still_raises():
-    # f' holds (x - a)^-0.7, which the quadrature samples at z = a
+# Gamma(1.3)/Gamma(0.6) 0.5^-0.4 + sum_k (-1)^k 0.5^(2k+0.3) / Gamma(2k+1.3) (dps=40)
+MIXED_CAPUTO_07_AT_05 = 1.6259060634692188956
+
+
+def test_mixed_fractional_power_sum_is_split_by_term():
+    # f' holds (x - a)^-0.7, which no quadrature can sample at z = a: the
+    # power term takes the power rule and only sin goes through quadrature
     f = parse_expr("pow(c=1,x0=0,beta=0.3) + sin(c=1,w=1)")
-    with pytest.raises(DomainError):
-        lfd_report(f, FracOrder(0.7), 0.0, FAST_CFG)
+    r = caputo_derivative(f, 0.7, 0.0, 0.5)
+    assert r.method == METHOD_QUAD
+    assert abs(r.value - MIXED_CAPUTO_07_AT_05) <= 1e-7
+    assert rl_derivative(f, 0.7, 0.0, 0.5).method == METHOD_BRIDGE
+    assert lfd_report(f, FracOrder(0.7), 0.0, FAST_CFG).classification.kind == CLASS_DIVERGENT
 
 
 @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
