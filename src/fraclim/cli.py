@@ -23,7 +23,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .exceptions import ExprParseError, FraclimError
+from .exceptions import DomainError, ExprParseError, FraclimError
 from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
 from .funcmodel import derivative, evaluate, format_expr, parse_expr
 from .leibniz import (
@@ -284,6 +284,8 @@ def _theorem_row(f, a, order, scan_cfg, tol, exponent_tol):
 
 
 def cmd_verify_theorem(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and non-negative, got {args.tol!r}")
     entries = read_corpus(args.corpus)
     if not entries:
         raise ExprParseError("corpus has no entries", field=args.corpus)

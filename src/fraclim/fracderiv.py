@@ -1,21 +1,24 @@
 """Left-sided Caputo and Riemann-Liouville fractional derivatives.
 
-Every function is taken term by term (``derivative_many``): power terms
-centered at the base point take the exact power rule, and the rest, which
-the symbolic layer can differentiate n times, goes through product-integration
-quadrature of the singular integral
+One route computes both: ``derivative_many``, with ``caputo_derivative`` and
+``rl_derivative`` its one-point case.  It splits f (``split_powers``) into the
+power terms centered at the base point, which take the exact power rule
+(``power_rule``), and a rest, which the symbolic layer differentiates n times
+and ``caputo_from_nth`` takes through the singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
-The Riemann-Liouville operator is built on top of the Caputo one through the
-boundary-term bridge
+``singular_integral`` is the one product-integration quadrature core under
+it, for many points and orders at once; it is also the package's fractional
+integral.  The Riemann-Liouville operator is the Caputo one plus the boundary
+terms
 
     RL^alpha f = Caputo^alpha f
                  + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha),
 
-whose 1/Gamma(k+1-alpha) coefficients are forced by the power-rule oracle
-(the per-term RL power rule); the superficially plausible 1/k! variant fails
-it.  ``boundary_terms`` is the one place that sum is computed.
+whose 1/Gamma(k+1-alpha) coefficients are forced by the per-term RL power
+rule; the superficially plausible 1/k! variant fails it.  ``boundary_terms``
+is the one place that sum is computed.
 """
 
 from __future__ import annotations
@@ -25,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, UnsupportedFunction
-from .funcmodel import (
-    FuncExpr,
-    PowerTerm,
-    derivative,
-    derivative_chain,
-    evaluate,
-    evaluate_many,
-)
+from .exceptions import DomainError
+from .funcmodel import FuncExpr, PowerTerm, derivative_chain, evaluate, evaluate_many
 from .kernels import product_quad_rows
 from .specfun import FracOrder, as_order, gamma, rgamma
 
@@ -41,21 +37,12 @@ __all__ = [
     "DerivResult",
     "QuadratureConfig",
     "boundary_terms",
-    "caputo_closed",
     "caputo_derivative",
     "caputo_from_nth",
-    "caputo_power",
     "caputo_power_coefficient",
-    "caputo_quadrature",
     "derivative_many",
-    "fractional_integral_fn",
-    "power_parts",
     "power_rule",
-    "rl_caputo_bridge",
-    "rl_closed",
     "rl_derivative",
-    "rl_power",
-    "rl_power_value",
     "singular_integral",
     "split_powers",
 ]
@@ -137,7 +124,8 @@ def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> li
     c (x - a)^beta, at every x in ``xs``: Caputo of a positive ``order``, or
     RL of any real order (negative: a fractional integral).  The coefficients
     are taken once; each point sums Python scalars, a Caputo term as
-    (c * coefficient) * power, an RL term as c * (coefficient * power)."""
+    (c * coefficient) * power, an RL term as c * (coefficient * power).
+    DomainError when a power overflows."""
     alpha = as_order(order) if kind == KIND_CAPUTO else None
     terms = []
     for c, beta in parts:
@@ -150,29 +138,13 @@ def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> li
     values = []
     for x in xs:
         value = 0.0
-        for scale, coef, p in terms:
-            value += scale * (coef * (x - a) ** p)
+        try:
+            for scale, coef, p in terms:
+                value += scale * (coef * (x - a) ** p)
+        except OverflowError:
+            raise DomainError(f"the power rule overflows at x={x!r}, a={a!r}") from None
         values.append(value)
     return values
-
-
-def rl_power_value(beta: float, order: float, a: float, x: float) -> float:
-    """Riemann-Liouville power rule Gamma(b+1)/Gamma(b+1-order) (x-a)^(b-order).
-
-    ``order`` may be any real: positive (derivative), zero (identity) or
-    negative (fractional integral); the formula is one and the same.
-    """
-    return power_rule(((1.0, beta),), order, a, (x,), KIND_RL)[0]
-
-
-def caputo_power(beta: float, alpha, a: float, x: float) -> DerivResult:
-    """Caputo derivative of (x - a)**beta, beta > -1, at x > a."""
-    return caputo_derivative(FuncExpr((PowerTerm(1.0, a, beta),)), alpha, a, x)
-
-
-def rl_power(beta: float, alpha, a: float, x: float) -> DerivResult:
-    """Riemann-Liouville derivative of (x - a)**beta; constants do NOT die."""
-    return rl_derivative(FuncExpr((PowerTerm(1.0, a, beta),)), alpha, a, x)
 
 
 def split_powers(f: FuncExpr, a: float):
@@ -186,27 +158,6 @@ def split_powers(f: FuncExpr, a: float):
         else:
             rest.append(t)
     return parts, FuncExpr(rest)
-
-
-def power_parts(f: FuncExpr, a: float):
-    """The ``parts`` of split_powers(f, a); UnsupportedFunction when f has
-    any other term."""
-    parts, rest = split_powers(f, a)
-    if not rest.is_zero():
-        raise UnsupportedFunction(f"{rest!r} has no closed-form power rule about {a!r}")
-    return parts
-
-
-def caputo_closed(f: FuncExpr, alpha, a: float, x: float) -> DerivResult:
-    """Term-by-term Caputo power rule for power functions centered at a."""
-    power_parts(f, a)  # UnsupportedFunction for any other f
-    return caputo_derivative(f, alpha, a, x)
-
-
-def rl_closed(f: FuncExpr, alpha, a: float, x: float) -> DerivResult:
-    """Term-by-term Riemann-Liouville power rule."""
-    power_parts(f, a)  # UnsupportedFunction for any other f
-    return rl_derivative(f, alpha, a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +254,8 @@ def caputo_from_nth(sampler, alpha, a: float, xs,
     return values, est_errors
 
 
-def caputo_quadrature(f: FuncExpr, alpha, a: float, x: float,
-                      cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """Caputo derivative by product integration of the exact n-th derivative.
-
-    Integer alpha dispatches to the exact symbolic derivative.  For
-    fractional alpha the estimate ``est_error = |value(N) - value(N/2)| / 3``
-    follows from the O(h^2) convergence of the product-trapezoid rule.
-    """
-    alpha = as_order(alpha)
-    fn = derivative(f, alpha.n)
-    (value,), (est,) = caputo_from_nth(lambda zs: evaluate_many(fn, zs), alpha, a, (x,),
-                                       cfg)
-    if alpha.is_integer:
-        return DerivResult(float(value), KIND_CAPUTO, METHOD_CLOSED)
-    return DerivResult(float(value), KIND_CAPUTO, METHOD_QUAD, float(est))
-
-
-def fractional_integral_fn(function_values, order: float, a: float, x: float,
-                           cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Riemann-Liouville integral of positive order for a sampled function.
-
-    The one-point case of ``singular_integral``, without the Richardson
-    estimate (callers track convergence via their own series diagnostics).
-    """
-    (value,), _ = singular_integral(function_values, order, a, (x,), cfg, estimate=False)
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
-# Riemann-Liouville through the bridge
+# Riemann-Liouville minus Caputo
 
 
 def boundary_terms(at_a, alpha, a: float, x: float) -> float:
@@ -340,24 +263,18 @@ def boundary_terms(at_a, alpha, a: float, x: float) -> float:
     f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha), where at_a[k] holds
     f^(k)(a) for k = 0..n-1.  At integer alpha every term vanishes through
     rgamma, so RL and Caputo collapse to the classical derivative together.
+    DomainError when a power overflows.
     """
     alpha = as_order(alpha).alpha
     total = 0.0
-    for k, fk_a in enumerate(at_a):
-        coef = rgamma(k + 1.0 - alpha)
-        if fk_a != 0.0 and coef != 0.0:
-            total += fk_a * coef * (x - a) ** (k - alpha)
+    try:
+        for k, fk_a in enumerate(at_a):
+            coef = rgamma(k + 1.0 - alpha)
+            if fk_a != 0.0 and coef != 0.0:
+                total += fk_a * coef * (x - a) ** (k - alpha)
+    except OverflowError:
+        raise DomainError(f"the boundary terms overflow at x={x!r}, a={a!r}") from None
     return total
-
-
-def rl_caputo_bridge(f: FuncExpr, alpha, a: float, x: float,
-                     cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
-    """RL derivative as Caputo plus ``boundary_terms``."""
-    alpha = as_order(alpha)
-    _check_interval(a, x)
-    at_a = [evaluate(g, a) for g in derivative_chain([f], alpha.n - 1)]
-    value = caputo_derivative(f, alpha, a, x, cfg).value + boundary_terms(at_a, alpha, a, x)
-    return DerivResult(value, KIND_RL, METHOD_BRIDGE)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
     QuadratureConfig,
-    boundary_terms,
     caputo_from_nth,
     derivative_many,
     power_rule,
@@ -111,9 +110,6 @@ class SeriesResult:
     residual: float
     K: int
     nonconvergent: bool = False
-
-    def __iter__(self):
-        return iter((self.value, self.residual))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, InsufficientData
+from .exceptions import DomainError, InsufficientData, UnsupportedFunction
 from .fracderiv import (
     QuadratureConfig,
     caputo_power_coefficient,
     derivative_many,
-    power_parts,
+    split_powers,
 )
 from .funcmodel import FuncExpr, derivative, evaluate
 from .specfun import as_order, rgamma
@@ -152,9 +152,14 @@ def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
     Only samples whose |value| clears the noise floor (10x the quadrature
     error estimate) enter the log-log fit; if none do, the scan is flat zero
     and the report says Zero with an undefined fitted exponent.  Fewer than
-    4 usable samples raise InsufficientData.
+    4 usable samples raise InsufficientData, and an ``exponent_tol`` that is
+    not finite and non-negative raises DomainError.
     """
     alpha = as_order(alpha)
+    if not 0.0 <= exponent_tol < math.inf:
+        raise DomainError(
+            f"exponent_tol must be finite and non-negative, got {exponent_tol!r}"
+        )
     samples = list(samples)
     usable = [s for s in samples if s.usable]
     if len(usable) < 4:
@@ -187,12 +192,16 @@ def lfd_exact(f: FuncExpr, alpha, a: float) -> Classification:
     Term by term: a vanishing Caputo coefficient contributes nothing, a
     positive exponent beta - alpha decays to zero, a zero exponent leaves the
     constant coefficient, and a negative exponent blows up (Divergent wins
-    over everything else).
+    over everything else).  UnsupportedFunction for any other term.
     """
     alpha = as_order(alpha)
+    a = _base_point(a)
+    parts, rest = split_powers(f, a)
+    if not rest.is_zero():
+        raise UnsupportedFunction(f"{rest!r} has no closed-form power rule about {a!r}")
     finite_total = 0.0
     any_finite = False
-    for c, beta in power_parts(f, _base_point(a)):
+    for c, beta in parts:
         coef = c * caputo_power_coefficient(beta, alpha)
         if coef == 0.0:
             continue

@@ -19,17 +19,25 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from fraclim.cli import read_corpus
 from fraclim.fracderiv import (
+    KIND_RL,
+    METHOD_CLOSED,
     QuadratureConfig,
-    caputo_closed,
-    caputo_quadrature,
-    rl_caputo_bridge,
-    rl_power_value,
+    boundary_terms,
+    caputo_derivative,
+    caputo_from_nth,
+    power_rule,
 )
-from fraclim.funcmodel import FuncExpr, PowerTerm, derivative, evaluate, parse_expr
+from fraclim.funcmodel import (
+    FuncExpr,
+    PowerTerm,
+    derivative,
+    evaluate,
+    evaluate_many,
+    parse_expr,
+)
 from fraclim.leibniz import leibniz_defect, rl_of_product, symmetrized_series
 from fraclim.lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
 from fraclim.specfun import FracOrder
@@ -45,6 +53,21 @@ SCAN_CFG = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=1
 INV_GAMMA_3_2 = 1.1283791670955126  # 1/Gamma(1.5) = 2/sqrt(pi), dps=40
 DEFECT_XX_HALF = -0.75225277806367504926  # Gamma(3)/Gamma(2.5) - 2/Gamma(1.5)
 SERIES_XX_HALF = 1.5045055561273501  # 2/Gamma(2.5) = RL^1/2 x^2 at x=1
+
+
+def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
+    """Caputo derivative of f at x by quadrature of the sampled f^(n), for
+    every term, where caputo_derivative would take the power rule."""
+    fn = derivative(f, order.n)
+    (value,), _ = caputo_from_nth(lambda zs: evaluate_many(fn, zs), order, a, (x,), cfg)
+    return float(value)
+
+
+def _closed(f, order, a, x):
+    """Caputo derivative of a power sum centered at a, by the power rule."""
+    r = caputo_derivative(f, order, a, x)
+    assert r.method == METHOD_CLOSED
+    return r.value
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -113,13 +136,9 @@ def test_criterion_3_quadrature_against_power_rule_oracle():
         coeffs = rng.uniform(0.5, 2.0, degree + 1)
         f = FuncExpr([PowerTerm(float(c), a, float(k)) for k, c in enumerate(coeffs)])
         x = a + float(rng.uniform(0.5, 1.0))
-        exact = caputo_closed(f, order, a, x).value
-        e_n = abs(
-            caputo_quadrature(f, order, a, x, QuadratureConfig(nodes=4096)).value - exact
-        )
-        e_2n = abs(
-            caputo_quadrature(f, order, a, x, QuadratureConfig(nodes=8192)).value - exact
-        )
+        exact = _closed(f, order, a, x)
+        e_n = abs(_quadrature(f, order, a, x, QuadratureConfig(nodes=4096)) - exact)
+        e_2n = abs(_quadrature(f, order, a, x, QuadratureConfig(nodes=8192)) - exact)
         worst_rel = max(worst_rel, e_n / abs(exact))
         ratios.append(e_n / e_2n)
     ok = worst_rel <= 1e-6 and all(3.0 <= r <= 5.0 for r in ratios)
@@ -138,8 +157,8 @@ def test_criterion_4_annihilation():
         for k in range(order.n):
             for c in (1.0, 3.7, -2.25):
                 f = FuncExpr([PowerTerm(c, 0.25, float(k))])
-                closed = caputo_closed(f, order, 0.25, 1.1).value
-                quad = caputo_quadrature(f, order, 0.25, 1.1).value
+                closed = _closed(f, order, 0.25, 1.1)
+                quad = _quadrature(f, order, 0.25, 1.1)
                 ok = ok and closed == 0.0 and abs(quad) <= 1e-10
                 checked += 1
     _verdict(4, ok, f"{checked} monomials below the order ceiling annihilated "
@@ -208,16 +227,19 @@ def test_criterion_7_bridge_consistency():
         )
         alpha = FracOrder(float(rng.uniform(0.1, 2.9)))
         x = a + float(rng.uniform(0.4, 1.2))
-        got = rl_caputo_bridge(f, alpha, a, x).value
-        want = sum(t.c * rl_power_value(t.beta, alpha.alpha, a, x) for t in f.terms)
+        at_a = [evaluate(derivative(f, k), a) for k in range(alpha.n)]
+        got = _closed(f, alpha, a, x) + boundary_terms(at_a, alpha, a, x)
+        want = sum(t.c * power_rule(((1.0, t.beta),), alpha.alpha, a, (x,), KIND_RL)[0]
+                   for t in f.terms)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
     # regression: the factorial boundary coefficient breaks the power-rule oracle
     f = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
-    want = rl_power_value(0.0, 0.5, 0.0, 1.0) + rl_power_value(1.0, 0.5, 0.0, 1.0)
-    good = rl_caputo_bridge(f, FracOrder(0.5), 0.0, 1.0).value
+    want = (power_rule(((1.0, 0.0),), 0.5, 0.0, (1.0,), KIND_RL)[0]
+            + power_rule(((1.0, 1.0),), 0.5, 0.0, (1.0,), KIND_RL)[0])
+    cap = _closed(f, FracOrder(0.5), 0.0, 1.0)
+    good = cap + boundary_terms([evaluate(f, 0.0)], FracOrder(0.5), 0.0, 1.0)
     # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
-    cap = caputo_closed(f, FracOrder(0.5), 0.0, 1.0).value
     bad = cap + evaluate(f, 0.0) / math.factorial(0)
     ok = worst <= 1e-8 and abs(good - want) <= 1e-8 and abs(bad - want) > 1e-2
     _verdict(

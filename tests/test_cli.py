@@ -317,6 +317,36 @@ def test_domain_error_exit_code(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--f", "pow(c=1,x0=0,beta=0.5)", "--alpha", "1.7", "--a", "0",
+     "--x", "1e-300"],
+    ["eval", "--f", "sin(c=1,w=1)", "--alpha", "30.5", "--a", "0", "--x", "1e-11",
+     "--kind", "rl"],
+    ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=1)", "--alpha", "30.5",
+     "--a", "0", "--x", "1e-11", "--operator", "rl"],
+], ids=["power-rule", "boundary-terms", "leibniz-rl"])
+def test_overflowing_power_is_a_domain_error(capsys, argv):
+    # (x - a)^(beta - alpha) and (x - a)^(k - alpha) overflow a double here
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert "domain error:" in err and "x=1e-" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0",
+     "--exponent-tol", "nan"],
+    ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0",
+     "--exponent-tol", "-0.1"],
+    ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "1", "--tol", "nan"],
+    ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "1", "--tol=-1e-6"],
+    ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "1", "--exponent-tol", "nan"],
+], ids=["scan-nan", "scan-negative", "tol-nan", "tol-negative", "verify-exponent-tol-nan"])
+def test_bad_tolerance_is_a_domain_error(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert "domain error:" in err
+
+
 def test_bad_alpha_list_exit_code(capsys, tmp_path):
     small = tmp_path / "c.txt"
     small.write_text("sin(c=1,w=1) @ 0\n")
@@ -352,6 +382,13 @@ def test_every_export_exists(module):
     mod = importlib.import_module(module)
     for name in mod.__all__:
         getattr(mod, name)
+    if module == "fraclim.fracderiv":
+        # one public derivative surface: a re-added alias must fail here
+        assert set(mod.__all__) == {
+            "DerivResult", "QuadratureConfig", "boundary_terms", "caputo_derivative",
+            "caputo_from_nth", "caputo_power_coefficient", "derivative_many", "power_rule",
+            "rl_derivative", "singular_integral", "split_powers",
+        }
 
 
 def test_console_entry_point_subprocess():

@@ -17,11 +17,12 @@ import fraclim.funcmodel
 import fraclim.leibniz
 from fraclim.exceptions import DomainError, UnsupportedProduct
 from fraclim.fracderiv import (
+    KIND_RL,
+    METHOD_CLOSED,
     QuadratureConfig,
-    fractional_integral_fn,
-    rl_closed,
+    power_rule,
     rl_derivative,
-    rl_power_value,
+    singular_integral,
     split_powers,
 )
 from fraclim.funcmodel import (
@@ -37,7 +38,6 @@ from fraclim.leibniz import (
     RULE_INTEGER_SUM,
     RULE_SYMMETRIZED,
     RULE_UNVIOLATED,
-    SeriesResult,
     integer_leibniz,
     integer_leibniz_report,
     leibniz_defect,
@@ -178,10 +178,10 @@ def test_series_k0_partial_sum():
     assert sr.value == pytest.approx(SERIES_X2_ONE_K0, abs=1e-12)
 
 
-def test_series_result_unpacks():
-    value, residual = symmetrized_series(X, X, FracOrder(0.5), 0.0, 1.0, K=1)
-    assert value == pytest.approx(SERIES_XX_HALF_AT_1, abs=1e-9)
-    assert residual >= 0.0
+def test_series_result_value_and_residual():
+    sr = symmetrized_series(X, X, FracOrder(0.5), 0.0, 1.0, K=1)
+    assert sr.value == pytest.approx(SERIES_XX_HALF_AT_1, abs=1e-9)
+    assert sr.residual >= 0.0
 
 
 def test_series_exact_for_polynomial_pairs():
@@ -261,7 +261,8 @@ def test_rl_of_product_matches_closed_form():
     # (1 + x)^2 expanded against the term-by-term RL power rule
     one_plus_x = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
     got = rl_of_product(one_plus_x, one_plus_x, FracOrder(0.5), 0.0, 1.0)
-    want = rl_closed(poly_product(one_plus_x, one_plus_x), FracOrder(0.5), 0.0, 1.0)
+    want = rl_derivative(poly_product(one_plus_x, one_plus_x), FracOrder(0.5), 0.0, 1.0)
+    assert want.method == METHOD_CLOSED
     assert got == pytest.approx(want.value, rel=1e-12)
 
 
@@ -373,7 +374,7 @@ def test_defect_at_three_points_equals_one_point_calls(f, g, alpha, operator):
 
 def _series_reference(f, g, alpha, a, x, K, cfg):
     """The symmetrized series term by term from the public operators: one
-    rl_derivative, fractional_integral_fn or power-rule call per order."""
+    rl_derivative, singular_integral or power_rule call per order."""
 
     def rl(h, order):
         if order == 0.0:
@@ -381,10 +382,13 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
         if order > 0.0:
             return rl_derivative(h, order, a, x, cfg).value
         parts, rest = split_powers(h, a)
-        power = sum(c * rl_power_value(beta, order, a, x) for c, beta in parts)
+        power = sum(c * power_rule(((1.0, beta),), order, a, (x,), KIND_RL)[0]
+                    for c, beta in parts)
         if rest.is_zero():
             return power
-        integral = fractional_integral_fn(lambda zs: evaluate_many(rest, zs), -order, a, x, cfg)
+        (integral,), _ = singular_integral(lambda zs: evaluate_many(rest, zs), -order, a, (x,),
+                                           cfg, estimate=False)
+        integral = float(integral)
         return integral + power if parts else integral
 
     terms = []

@@ -6,13 +6,12 @@ import math
 
 import pytest
 
-from fraclim.exceptions import DomainError, InsufficientData
+from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
     METHOD_BRIDGE,
     METHOD_QUAD,
     QuadratureConfig,
     caputo_derivative,
-    caputo_quadrature,
     rl_derivative,
 )
 from fraclim.funcmodel import parse_expr
@@ -59,7 +58,8 @@ def test_scan_matches_pointwise_quadrature(nodes):
     cfg = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=nodes))
     for alpha in (0.4, 2.6):
         for s in lfd_scan(f, FracOrder(alpha), 0.5, cfg):
-            one = caputo_quadrature(f, FracOrder(alpha), 0.5, s.x, cfg.quad)
+            one = caputo_derivative(f, FracOrder(alpha), 0.5, s.x, cfg.quad)
+            assert one.method == METHOD_QUAD
             assert s.value == pytest.approx(one.value, rel=1e-13)
             assert s.est_error == pytest.approx(one.est_error, rel=1e-13, abs=1e-300)
 
@@ -165,6 +165,13 @@ def test_exact_classifier_branches():
     assert lfd_exact(f, FracOrder(0.5), 0.0).kind == CLASS_ZERO
 
 
+def test_exact_classifier_rejects_other_terms():
+    with pytest.raises(UnsupportedFunction):
+        lfd_exact(SIN, FracOrder(0.5), 0.0)
+    with pytest.raises(UnsupportedFunction):
+        lfd_exact(parse_expr("pow(c=1,x0=1,beta=2)"), FracOrder(0.5), 0.0)
+
+
 def test_exact_agrees_with_scan_on_corpus_spot():
     f = parse_expr("pow(c=2,x0=0,beta=3) + pow(c=1,x0=0,beta=1)")
     for alpha in (0.5, 1.0, 1.5, 3.0):
@@ -197,6 +204,18 @@ def test_report_serialization_round_trip():
     # repr round-trip: parsing the first data row reproduces the floats
     assert float(rows[1][0]) == rep.samples[0].x
     assert float(rows[1][1]) == rep.samples[0].value
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -0.01])
+def test_exponent_tol_must_be_finite_and_non_negative(tol):
+    # a NaN band would call every scan Finite, a negative one a divergent scan Zero
+    samples = lfd_scan(SIN, FracOrder(0.5), 0.0, FAST_CFG)
+    rep = lfd_classify(samples, FracOrder(0.5), exponent_tol=0.0)
+    assert rep.classification.kind == CLASS_ZERO
+    with pytest.raises(DomainError):
+        lfd_classify(samples, FracOrder(0.5), exponent_tol=tol)
+    with pytest.raises(DomainError):
+        lfd_report(SIN, FracOrder(0.5), 0.0, FAST_CFG, exponent_tol=tol)
 
 
 def test_est_error_shrinks_with_refinement():
