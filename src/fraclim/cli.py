@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -352,16 +353,27 @@ def cmd_verify_theorem(args) -> int:
 # parser assembly
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token such as -1e-3 as a negative
+    number, not as an option: argparse's own pattern stops at -1.5, and no
+    option of fraclim looks like a number.  Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(p, with_nodes=True):
     p.add_argument("--output", choices=("text", "json", "csv"), default="text",
                    help="output format (default: text)")
     if with_nodes:
-        p.add_argument("--nodes", type=int, default=1024,
-                       help="quadrature subintervals (default: 1024)")
+        p.add_argument("--nodes", type=int, default=512,
+                       help="largest Gauss-Legendre rule of the quadrature; rules "
+                            "double from 32 nodes up to min(NODES, 512) (default: 512)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fraclim",
         description="Fractional derivatives, local limit scans and "
                     "Leibniz-rule diagnostics.",

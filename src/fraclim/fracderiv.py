@@ -8,8 +8,9 @@ and ``caputo_from_nth`` takes through the singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
-``singular_integral`` is the one product-integration quadrature core under
-it, for many points and orders at once; it is also the package's fractional
+``singular_integral`` is the one quadrature core under it, product
+Gauss-Legendre integration for many points and orders at once, with an error
+estimate from the same samples; it is also the package's fractional
 integral.  The Riemann-Liouville operator is the Caputo one plus the boundary
 terms
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .funcmodel import FuncExpr, PowerTerm, derivative_chain, evaluate, evaluate_many
-from .kernels import product_quad_rows
+from .kernels import legendre_moments, legendre_rule
 from .specfun import FracOrder, as_order, gamma, rgamma
 
 __all__ = [
@@ -56,20 +57,15 @@ METHOD_BRIDGE = "Bridge"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Uniform-grid discretization of the singular integral.
+    """Resolution of the singular integral: ``nodes`` caps the Gauss-Legendre
+    rules of ``singular_integral``, which double from 32 nodes up to
+    min(nodes, 512)."""
 
-    ``nodes`` is the number of subintervals of [a, x]; ``min_gap`` is the
-    smallest admissible x - a before the grid degenerates.
-    """
-
-    nodes: int = 1024
-    min_gap: float = 1e-12
+    nodes: int = 512
 
     def __post_init__(self):
         if self.nodes != int(self.nodes) or self.nodes < 2:
             raise DomainError(f"nodes must be an integer >= 2, got {self.nodes!r}")
-        if not self.min_gap > 0.0:
-            raise DomainError(f"min_gap must be positive, got {self.min_gap!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,8 @@ class DerivResult:
     """A single derivative evaluation.
 
     ``est_error`` is present exactly when the method is Quadrature: the
-    Richardson estimate of the quadrature that some term of f went through.
+    estimate of ``singular_integral`` for the terms of f that went through
+    it, from the upper half of their Legendre coefficients.
     """
 
     value: float
@@ -95,12 +92,6 @@ def _check_interval(a, x):
         raise DomainError(f"a and x must be finite, got x={x!r}, a={a!r}")
     if not x > a:
         raise DomainError(f"evaluation point must satisfy x > a, got x={x!r}, a={a!r}")
-
-
-def _check_gap(a, x, cfg):
-    _check_interval(a, x)
-    if x - a < cfg.min_gap:
-        raise DomainError(f"x - a = {x - a!r} is below min_gap = {cfg.min_gap!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +154,32 @@ def split_powers(f: FuncExpr, a: float):
 # ---------------------------------------------------------------------------
 # quadrature
 
-# Grids are sampled in row blocks of at most this many points, which bounds
-# the sampler's temporaries whatever the node count and the number of points.
-_BLOCK_POINTS = 1 << 15
+# Rules double from _FIRST_NODES nodes up to min(cfg.nodes, _MAX_NODES); an
+# integral is done once its estimate is at most _REL_TOL of its size.
+_FIRST_NODES = 32
+_MAX_NODES = 512
+_REL_TOL = 1e-13
 
 
-def _sample(sampler, a, xs, n):
-    """The sampler on the n-subinterval grids of [a, x] for every x in xs,
-    one grid a row.  The grids are those of np.linspace(a, xs, n + 1, axis=1),
-    built by the same arithmetic without its generic set-up, which costs more
-    than the sampling itself on a one-point call."""
-    grid = np.arange(n + 1.0) * ((xs - a) / n)[:, None]
-    grid += a
-    grid[:, -1] = xs
-    return np.asarray(sampler(grid.ravel()), dtype=np.float64).reshape(grid.shape)
-
-
-def singular_integral(sampler, order, a: float, xs,
-                      cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True):
+def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = QuadratureConfig()):
     """Riemann-Liouville integral of positive ``order`` at every x in ``xs``,
 
-        (1 / Gamma(order)) * integral_a^x (x - z)^(order - 1) g(z) dz,
+        (1 / Gamma(order)) * integral_a^x (x - z)^(order - 1) g(z) dz
+            = h^order / Gamma(order) * integral_0^1 u^(order - 1) g(x - h u) du,
 
-    by the product-trapezoid rule on cfg.nodes subintervals.  ``sampler``
-    maps a 1-d array of points z to g(z).  Returns two arrays: the values
-    and the Richardson estimates |I(N) - I(N/2)| / 3, which follow from the
-    rule's O(h^2) convergence; with ``estimate=False`` the half-resolution
-    pass is skipped and the second array is None.  ``order`` may also be a
-    1-d sequence of orders: g is then sampled once for all of them, and both
-    arrays gain a leading axis, one row per order.  Every Caputo quadrature
-    and fractional integral in the package goes through here.
+    h = x - a, by product Gauss-Legendre integration (``kernels``): the
+    Legendre coefficients c_j of g from its samples at z = x - h u_i, against
+    the exact moments M_j of the kernel.  ``sampler`` maps a 1-d array of
+    points z to g(z).  Returns two arrays: the values and their estimates,
+    the part of sum_j M_j c_j from the upper half of the coefficients.
+    ``order`` may also be a 1-d sequence of orders: both arrays then gain a
+    leading axis, one row per order.  Every Caputo quadrature and fractional
+    integral in the package goes through here.
+
+    Rules double from 32 nodes up to min(cfg.nodes, 512), with one sampler
+    call per rule for all the points.  Each (order, point) integral keeps the
+    rule with its smallest estimate, and is done once that estimate is at
+    most 1e-13 of sum_j |M_j c_j| or stops shrinking (the rounding floor).
     """
     order = np.asarray(order, dtype=np.float64)
     orders = np.atleast_1d(order)
@@ -204,31 +191,41 @@ def singular_integral(sampler, order, a: float, xs,
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     for x in xs.tolist():
-        _check_gap(a, x, cfg)
+        _check_interval(a, x)
+    h = xs - a
     mu = orders - 1.0
-    scale = np.array([rgamma(o) for o in orders.tolist()])[:, None]
-    nodes = cfg.nodes
-    half = nodes // 2
-    values = np.empty((orders.size, xs.size))
-    est_errors = np.empty(values.shape) if estimate else None
-    rows = max(1, _BLOCK_POINTS // (nodes + 1))
-    for i in range(0, xs.shape[0], rows):
-        x = xs[i:i + rows]
-        v = _sample(sampler, a, x, nodes)
-        fine = scale * product_quad_rows(v, (x - a) / nodes, mu)
-        values[:, i:i + rows] = fine
-        if estimate:
-            vc = v[:, ::2] if nodes % 2 == 0 else _sample(sampler, a, x, half)
-            coarse = scale * product_quad_rows(vc, (x - a) / half, mu)
-            est_errors[:, i:i + rows] = np.abs(fine - coarse) / 3.0
+    # one power call per order, as a Python float: NumPy takes sqrt or square
+    # for a scalar exponent 0.5 or 2, which can differ in the last bit from
+    # its pow over a broadcast array of exponents
+    scale = np.array([rgamma(o) * np.power(h, o) for o in orders.tolist()])
+    # per (order, point): the kept sum_j M_j c_j, its estimate, the last
+    # rule's estimate, and whether the integral is still refining
+    sums, best, last = np.full(scale.shape, np.nan), np.inf, np.inf
+    live = np.ones(scale.shape, dtype=bool)
+    m = min(_FIRST_NODES, cfg.nodes)
+    while m <= min(cfg.nodes, _MAX_NODES) and live.any():
+        u, b = legendre_rule(m)
+        g = np.asarray(sampler((xs[:, None] - h[:, None] * u).ravel()), dtype=np.float64)
+        # einsum, not @: BLAS rounds a row differently by its place in the
+        # block, and a point's value should not depend on the points beside it
+        c = np.einsum("ji,pi->pj", b, g.reshape(xs.size, m))
+        moments = legendre_moments(m, mu)
+        abs_m, abs_c = np.abs(moments), np.abs(c)
+        est = np.einsum("oj,pj->op", abs_m[:, m // 2:], abs_c[:, m // 2:])
+        take = live & (est < best)
+        sums = np.where(take, np.einsum("oj,pj->op", moments, c), sums)
+        best = np.where(take, est, best)
+        live &= (est > _REL_TOL * np.einsum("oj,pj->op", abs_m, abs_c)) & (est < last)
+        last = est
+        m *= 2
+    values, est_errors = scale * sums, scale * best
     if order.ndim == 0:
-        return values[0], None if est_errors is None else est_errors[0]
+        return values[0], est_errors[0]
     return values, est_errors
 
 
 def caputo_from_nth(sampler, alpha, a: float, xs,
-                    cfg: QuadratureConfig = QuadratureConfig(), estimate: bool = True,
-                    at_a=None):
+                    cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
     """Caputo derivative at every x in ``xs`` of a function f, as arrays of
     values and error estimates; ``sampler`` maps a 1-d array of points z to
     f^(n)(z).  Given ``at_a``, the f^(k)(a) for k < n, the values gain the
@@ -236,19 +233,16 @@ def caputo_from_nth(sampler, alpha, a: float, xs,
 
     Integer alpha takes the exact sampler(xs) with estimate 0 (the singular
     integral degenerates there: Gamma(n - alpha) has a pole); fractional alpha
-    is the integral of order n - alpha of f^(n), through ``singular_integral``,
-    whose ``estimate=False`` skips the half-resolution pass and returns None
-    for the estimates.
+    is the integral of order n - alpha of f^(n), through ``singular_integral``.
     """
     alpha = as_order(alpha)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     if alpha.is_integer:
         for x in xs.tolist():
-            _check_gap(a, x, cfg)
+            _check_interval(a, x)
         values, est_errors = np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
     else:
-        values, est_errors = singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg,
-                                               estimate)
+        values, est_errors = singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg)
     if at_a is not None:
         values = values + [boundary_terms(at_a, alpha, a, x) for x in xs.tolist()]
     return values, est_errors
@@ -282,15 +276,14 @@ def boundary_terms(at_a, alpha, a: float, x: float) -> float:
 
 
 def derivative_many(f: FuncExpr, alpha, a: float, xs,
-                    cfg: QuadratureConfig = QuadratureConfig(), kind: str = KIND_CAPUTO,
-                    estimate: bool = True):
+                    cfg: QuadratureConfig = QuadratureConfig(), kind: str = KIND_CAPUTO):
     """Caputo (or, for ``kind=KIND_RL``, RL) derivative of f at every x in
     ``xs``, as (values, est_errors, method).
 
     The ``parts`` of split_powers(f, a) take ``power_rule`` point by point;
     the rest is one ``caputo_from_nth`` call on rest^(n) over all the points,
     plus its ``boundary_terms`` for RL.  The estimates are the rest's (0 when
-    it is empty or the order an integer; None for ``estimate=False``).  The
+    it is empty or the order an integer).  The
     method is ClosedForm for an empty rest, or Caputo at an integer order;
     otherwise Quadrature for Caputo and Bridge for RL.
     """
@@ -305,14 +298,13 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
         chain = derivative_chain([rest], alpha.n)
         at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
         values, est_errors = caputo_from_nth(lambda zs: evaluate_many(chain[-1], zs),
-                                             alpha, a, xs, cfg, estimate, at_a)
+                                             alpha, a, xs, cfg, at_a)
         if kind == KIND_RL or not alpha.is_integer:
             method = METHOD_BRIDGE if kind == KIND_RL else METHOD_QUAD
     if parts:  # the rest's value first; with no power term it stands as it is
         power = power_rule(parts, alpha.alpha, a, xs, kind)
         values = [v + p for v, p in zip(values, power)]
-    est_errors = [float(e) for e in est_errors] if estimate else None
-    return [float(v) for v in values], est_errors, method
+    return [float(v) for v in values], [float(e) for e in est_errors], method
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,
@@ -328,5 +320,5 @@ def rl_derivative(f: FuncExpr, alpha, a: float, x: float,
     """Riemann-Liouville derivative at x: the one-point case of
     ``derivative_many``, ClosedForm when every term of f takes the power rule
     and Bridge otherwise."""
-    (value,), _, method = derivative_many(f, alpha, a, (x,), cfg, KIND_RL, estimate=False)
+    (value,), _, method = derivative_many(f, alpha, a, (x,), cfg, KIND_RL)
     return DerivResult(value, KIND_RL, method)

@@ -150,8 +150,7 @@ def _product_nth_values(fs, gs, n):
 def _d_product(f, g, alpha, a, pts, cfg, kind):
     """D^alpha(fg) at every point of pts: a product of two polynomials is
     multiplied out for derivative_many; any other is one caputo_from_nth call
-    on the Leibniz-expanded (fg)^(n), each factor derived once, without the
-    half-resolution pass."""
+    on the Leibniz-expanded (fg)^(n), each factor derived once."""
     try:
         fg = poly_product(f, g)
     except UnsupportedProduct:
@@ -160,8 +159,8 @@ def _d_product(f, g, alpha, a, pts, cfg, kind):
         at_a = None if kind == KIND_CAPUTO else [
             float(_product_nth_values(fs, gs, k)([a])[0]) for k in range(alpha.n)]
         nth = _product_nth_values(fs, gs, alpha.n)
-        return caputo_from_nth(nth, alpha, a, pts, cfg, False, at_a)[0].tolist()
-    return derivative_many(fg, alpha, a, pts, cfg, kind, estimate=False)[0]
+        return caputo_from_nth(nth, alpha, a, pts, cfg, at_a)[0].tolist()
+    return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 
 def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -195,8 +194,8 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     pts = tuple(float(p) for p in points)
     _check_points(a, pts)
     dfg = _d_product(f, g, alpha, a, pts, cfg, kind)
-    df = derivative_many(f, alpha, a, pts, cfg, kind, estimate=False)[0]
-    dg = derivative_many(g, alpha, a, pts, cfg, kind, estimate=False)[0]
+    df = derivative_many(f, alpha, a, pts, cfg, kind)[0]
+    dg = derivative_many(g, alpha, a, pts, cfg, kind)[0]
     defects = [dfg[i] - df[i] * evaluate(g, x) - evaluate(f, x) * dg[i]
                for i, x in enumerate(pts)]
     return LeibnizReport(
@@ -259,7 +258,7 @@ def _rl_orders(chain, alpha, live, a, x, cfg):
     k == alpha and fractional integrals past it.
 
     The power terms of f centered at a take the power rule.  Of the rest of
-    f, every integral comes from one sample on the grid of [a, x], and the
+    f, every integral comes from one sample per rule on [a, x], and the
     derivative of order alpha - k is caputo_from_nth on rest^(n-k), with the
     rest^(j)(a) of its boundary terms taken once."""
     f = chain[0]
@@ -273,14 +272,13 @@ def _rl_orders(chain, alpha, live, a, x, cfg):
         for order in orders:
             if order > 0.0:
                 d = FracOrder(order)
-                quad += caputo_from_nth(_sampler(rests[d.n]), d, a, (x,), cfg, False,
+                quad += caputo_from_nth(_sampler(rests[d.n]), d, a, (x,), cfg,
                                         at_a[:d.n])[0].tolist()
             elif order == 0.0:
                 quad.append(0.0)  # f(x) itself, below
         integrals = [-order for order in orders if order < 0.0]
         if integrals:
-            values, _ = singular_integral(_sampler(rests[0]), integrals, a, (x,), cfg,
-                                          estimate=False)
+            values, _ = singular_integral(_sampler(rests[0]), integrals, a, (x,), cfg)
             quad += [float(v) for v in values[:, 0]]
         terms = [q + p for q, p in zip(quad, terms)] if parts else quad
     return [evaluate(f, x) if order == 0.0 else t for order, t in zip(orders, terms)]

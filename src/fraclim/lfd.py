@@ -52,7 +52,11 @@ CLASS_DIVERGENT = "Divergent"
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Geometric scan x_k = a + h0 * ratio**k for k = 0..count-1."""
+    """Geometric scan x_k = a + h0 * ratio**k for k = 0..count-1.
+
+    The quadrature's nodes scale with x - a, so the offsets may go as small
+    as doubles allow (x - a = 1e-200 at a = 0); a point that rounds onto a
+    raises DomainError when the scan runs."""
 
     h0: float = 0.5
     ratio: float = 0.5
@@ -66,11 +70,6 @@ class ScanConfig:
             raise DomainError(f"ratio must lie in (0, 1), got {self.ratio!r}")
         if self.count != int(self.count) or self.count < 1:
             raise DomainError(f"count must be a positive integer, got {self.count!r}")
-        if self.h0 * self.ratio ** (self.count - 1) < self.quad.min_gap:
-            raise DomainError(
-                "scan would step below the quadrature min_gap; raise h0 or ratio "
-                "or lower count"
-            )
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,8 @@ def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> li
     ``derivative_many`` call over the whole scan, with the power terms of f
     centered at a in closed form and every other term by quadrature with
     cfg.quad (exact at an integer order).  A sample's est_error is that
-    quadrature's estimate, 0 when f has no such term."""
+    quadrature's estimate, from the upper half of its Legendre coefficients,
+    0 when f has no such term."""
     a = _base_point(a)
     xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
     values, est_errors, _ = derivative_many(f, alpha, a, xs, cfg.quad)

@@ -6,7 +6,7 @@ comment.  Criterion coverage:
 
 1. limit dichotomy over the 30-function corpus x a 9-order grid
 2. scaling law for sin at half order (exponent and prefactor fit)
-3. quadrature vs closed power rule, 50 random polynomial cases + O(h^2) ratio
+3. quadrature vs closed power rule, 50 random polynomial cases to 1e-12
 4. constant / low-degree monomial annihilation, closed and quadrature
 5. product-rule defect: zero at order 1, frozen nonzero value at order 1/2
 6. symmetrized series: frozen K=1 partial sum + 20 polynomial-pair identities
@@ -124,7 +124,6 @@ def test_criterion_2_scaling_law_for_sin():
 def test_criterion_3_quadrature_against_power_rule_oracle():
     rng = np.random.default_rng(20260815)
     worst_rel = 0.0
-    ratios = []
     for _ in range(50):
         while True:
             alpha = float(rng.uniform(0.3, 2.7))
@@ -137,16 +136,10 @@ def test_criterion_3_quadrature_against_power_rule_oracle():
         f = FuncExpr([PowerTerm(float(c), a, float(k)) for k, c in enumerate(coeffs)])
         x = a + float(rng.uniform(0.5, 1.0))
         exact = _closed(f, order, a, x)
-        e_n = abs(_quadrature(f, order, a, x, QuadratureConfig(nodes=4096)) - exact)
-        e_2n = abs(_quadrature(f, order, a, x, QuadratureConfig(nodes=8192)) - exact)
-        worst_rel = max(worst_rel, e_n / abs(exact))
-        ratios.append(e_n / e_2n)
-    ok = worst_rel <= 1e-6 and all(3.0 <= r <= 5.0 for r in ratios)
-    _verdict(
-        3, ok,
-        f"50 random polynomial cases: worst rel err {worst_rel:.2e} (tol 1e-6), "
-        f"convergence ratios in [{min(ratios):.2f}, {max(ratios):.2f}] (req [3, 5])",
-    )
+        err = abs(_quadrature(f, order, a, x) - exact)
+        worst_rel = max(worst_rel, err / abs(exact))
+    _verdict(3, worst_rel <= 1e-12,
+             f"50 random polynomial cases: worst rel err {worst_rel:.2e} (tol 1e-12)")
 
 
 def test_criterion_4_annihilation():

@@ -347,6 +347,34 @@ def test_bad_tolerance_is_a_domain_error(capsys, argv):
     assert "domain error:" in err
 
 
+def test_negative_numbers_in_scientific_notation_are_values(capsys):
+    # one token each, as in --a -1e-3: argparse alone takes -1e-3 for an option
+    code, out, err = run(capsys, ["eval", "--f", "sin(c=1,w=1)", "--alpha", "0.5",
+                                  "--a", "-1e-3", "--x", "1", "--output", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["a"] == -1e-3 and [r["x"] for r in doc["results"]] == [1.0]
+    # inside a list of points
+    code, out, err = run(capsys, ["eval", "--f", "sin(c=1,w=1)", "--alpha", "0.5",
+                                  "--a", "-1e-2", "--x", "-5e-3", "1e-3", "--output", "json"])
+    assert code == 0, err
+    assert [r["x"] for r in json.loads(out)["results"]] == [-5e-3, 1e-3]
+    code, out, err = run(capsys, ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=1)",
+                                  "--alpha", "0.5", "--a", "-1E-2", "--x", "-5E-3", "1.5e+0",
+                                  "--output", "json"])
+    assert code == 0, err
+    assert json.loads(out)["report"]["points"] == [-5e-3, 1.5]
+    # a negative value that the library rejects is a domain error, not a parse error
+    for argv in (["eval", "--f", "sin(c=1,w=1)", "--alpha", "-5e-1", "--a", "0", "--x", "1"],
+                 ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0",
+                  "--h0", "-1e-1"],
+                 ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "1",
+                  "--tol", "-1e-6"]):
+        code, _, err = run(capsys, argv)
+        assert code == 3, (argv, err)
+        assert "domain error:" in err
+
+
 def test_bad_alpha_list_exit_code(capsys, tmp_path):
     small = tmp_path / "c.txt"
     small.write_text("sin(c=1,w=1) @ 0\n")

@@ -7,6 +7,10 @@ e^x * erf(sqrt(x)).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraclim
 from fraclim.exceptions import DomainError
 from fraclim.fracderiv import (
     KIND_CAPUTO,
@@ -34,6 +39,7 @@ from fraclim.fracderiv import (
     split_powers,
 )
 from fraclim.funcmodel import FuncExpr, PowerTerm, derivative, evaluate_many, parse_expr
+from fraclim.kernels import legendre_rule
 from fraclim.specfun import FracOrder
 
 # frozen references (dps=40)
@@ -64,6 +70,41 @@ def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
 
 def _power(beta, a):
     return FuncExpr((PowerTerm(1.0, a, beta),))
+
+
+def _taylor_caputo(terms, alpha, a, x):
+    """mpmath oracle for the Caputo derivative of a sum of ``terms``, each
+    (kind, c, w, phi) for c sin(w x + phi), c cos(w x + phi) or, phi unused,
+    c exp(w x): the series sum_{k>=n} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
+    summed in 40 digits until its terms are below 1e-30 of its largest."""
+    with mp.workdps(40):
+        n = math.ceil(alpha)
+        alpha, a, h = mp.mpf(alpha), mp.mpf(a), mp.mpf(x) - mp.mpf(a)
+        total, largest, k = mp.mpf(0), mp.mpf(0), n
+        while True:
+            fk = mp.mpf(0)
+            for kind, c, w, phi in terms:
+                c, w, phi = mp.mpf(c), mp.mpf(w), mp.mpf(phi)
+                if kind == "exp":
+                    fk += c * w**k * mp.exp(w * a)
+                else:
+                    trig = mp.sin if kind == "sin" else mp.cos
+                    fk += c * w**k * trig(w * a + phi + k * mp.pi / 2)
+            # a bound on the term, as f^(k)(a) may vanish for one k
+            bound = sum(abs(mp.mpf(c)) * abs(mp.mpf(w)) ** k
+                        * (mp.exp(mp.mpf(w) * a) if kind == "exp" else 1)
+                        for kind, c, w, _ in terms) * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
+            total += fk * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
+            largest = max(largest, bound)
+            if k > n + 2 and bound < mp.mpf(10) ** -30 * largest:
+                return total
+            k += 1
+
+
+def _expr(terms):
+    return parse_expr(" + ".join(
+        f"exp(c={c!r},lam={w!r})" if kind == "exp" else f"{kind}(c={c!r},w={w!r},phi={phi!r})"
+        for kind, c, w, phi in terms))
 
 
 # --- power rule ---
@@ -179,19 +220,18 @@ def test_integer_order_collapses_to_symbolic():
     assert r1.value == pytest.approx(math.exp(0.3), rel=1e-14)
 
 
-def test_quadrature_convergence_is_second_order():
-    f = parse_expr(
-        "pow(c=1.3,x0=0,beta=5) + pow(c=0.8,x0=0,beta=4) + pow(c=0.7,x0=0,beta=3)"
-    )
-    order = FracOrder(0.6)
-    exact = caputo_derivative(f, order, 0.0, 0.9)
-    assert exact.method == METHOD_CLOSED
-    errs = [
-        abs(_quadrature(f, order, 0.0, 0.9, QuadratureConfig(nodes=n)) - exact.value)
-        for n in (512, 1024, 2048)
-    ]
-    for i in range(len(errs) - 1):
-        assert 3.0 < errs[i] / errs[i + 1] < 5.0
+@pytest.mark.parametrize("alpha", [0.6, 0.999, 1.4, 2.97])
+def test_quadrature_converges_geometrically_as_the_node_cap_doubles(alpha):
+    # caps below 32 give one rule of that many nodes; sin(12x) needs about 30
+    terms = [("sin", 1.0, 12.0, 0.3), ("exp", 1.0, -4.0, 0.0)]
+    exact = _taylor_caputo(terms, alpha, 0.0, 0.9)
+    errs = [abs(caputo_derivative(_expr(terms), alpha, 0.0, 0.9,
+                                  QuadratureConfig(nodes=n)).value - exact) / abs(exact)
+            for n in (8, 16, 32)]
+    # each doubling gains at least four digits, down to rounding
+    assert errs[0] > 1e-3
+    assert errs[1] <= 1e-4 * errs[0] and errs[2] <= 1e-4 * errs[1]
+    assert errs[2] <= 1e-13
 
 
 @given(
@@ -211,6 +251,30 @@ def test_quadrature_matches_closed_on_polynomials(degree, alpha, a):
     assert exact.method == METHOD_CLOSED
     quad = _quadrature(f, order, a, x, QuadratureConfig(nodes=2048))
     assert quad == pytest.approx(exact.value, rel=2e-6, abs=2e-8)
+
+
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(("sin", "cos", "exp")),
+              st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 0.1),
+              st.floats(-3.0, 3.0).filter(lambda w: abs(w) >= 0.1),
+              st.floats(0.0, 6.28)),
+    min_size=1, max_size=3)
+# non-integer orders in (0, 3), a share of them within 1e-3 of an integer
+_ORDERS = st.one_of(
+    st.floats(0.001, 2.999),
+    st.builds(lambda n, d: n + d, st.integers(0, 3), st.floats(-1e-3, 1e-3)),
+).filter(lambda al: 0.0 < al < 3.0 and al != round(al))
+
+
+@given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), st.floats(-8.0, math.log10(2.0)))
+@settings(max_examples=150, deadline=None)
+def test_estimate_bounds_the_error(terms, alpha, a, log_gap):
+    # the benchmark's rule: |error| <= est_error + 1e-12 |value| (its ROUNDING)
+    x = a + 10.0**log_gap
+    r = caputo_derivative(_expr(terms), alpha, a, x)
+    assert r.method == METHOD_QUAD
+    exact = _taylor_caputo(terms, alpha, a, x)
+    assert abs(r.value - exact) <= r.est_error + 1e-12 * abs(exact)
 
 
 def test_linearity_on_quadrature_route():
@@ -238,14 +302,14 @@ def test_quadrature_fn_entry_point():
 
 
 def test_fractional_integral():
-    (val,), est = singular_integral(lambda zs: zs, 0.5, 0.0, (1.0,), estimate=False)
-    assert est is None
+    (val,), (est,) = singular_integral(lambda zs: zs, 0.5, 0.0, (1.0,))
+    assert est <= 1e-13 * val
     assert val == pytest.approx(INTEGRAL_HALF_X_AT_1, rel=1e-12)
     # order-1 integral of a linear function is exact for this rule
-    (val,), _ = singular_integral(lambda zs: zs, 1.0, 0.0, (2.0,), estimate=False)
+    (val,), _ = singular_integral(lambda zs: zs, 1.0, 0.0, (2.0,))
     assert val == pytest.approx(2.0, rel=1e-13)
     with pytest.raises(DomainError):
-        singular_integral(lambda zs: zs, -0.5, 0.0, (1.0,), estimate=False)
+        singular_integral(lambda zs: zs, -0.5, 0.0, (1.0,))
 
 
 # --- bridge ---
@@ -330,8 +394,6 @@ def test_derivative_many_equals_one_point_calls(kind, alpha):
     assert {r.method for r in results} == {method}
     if method == METHOD_QUAD:
         assert est_errors == [r.est_error for r in results]
-    assert derivative_many(MIXED, alpha, 0.0, pts, kind=kind, estimate=False)[:2] == (
-        values, None)
 
 
 def test_split_powers():
@@ -355,14 +417,7 @@ def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=1)
     with pytest.raises(DomainError):
-        QuadratureConfig(min_gap=0.0)
-
-
-def test_gap_guard():
-    with pytest.raises(DomainError):
-        _quadrature(SIN, FracOrder(0.5), 0.0, 1e-15)
-    with pytest.raises(DomainError):
-        _quadrature(SIN, FracOrder(0.5), 0.0, -1.0)
+        QuadratureConfig(nodes=2.5)
 
 
 @pytest.mark.parametrize("a,x", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0),
@@ -381,36 +436,50 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         caputo_from_nth(np.cos, FracOrder(0.5), a, [x])
     with pytest.raises(DomainError):
-        singular_integral(np.cos, 0.5, a, (x,), estimate=False)
+        singular_integral(np.cos, 0.5, a, (x,))
 
 
 # --- the multi-point core ---
 
 
-def test_scan_core_samples_row_blocks_on_linspace_grids():
+def test_scan_core_samples_once_per_rule_at_x_minus_h_u():
     seen = []
 
     def sampler(zs):
         seen.append(zs.copy())
-        return np.cos(zs)
+        return np.cos(25.0 * zs)
 
-    nodes = 4096
-    xs = np.linspace(0.1, 2.0, 20)
-    values, _ = singular_integral(sampler, 0.5, 0.0, xs, QuadratureConfig(nodes=nodes))
-    # even nodes take the coarse grid from the fine one, so every call is a
-    # block of fine grids, and no block holds more than 2^15 points
-    assert len(seen) == 3
-    assert max(len(z) for z in seen) <= 1 << 15
-    assert np.array_equal(np.concatenate(seen),
-                          np.linspace(0.0, xs, nodes + 1, axis=1).ravel())
+    a = -0.3
+    xs = np.linspace(-0.2, 2.0, 20)
+    values, _ = singular_integral(sampler, 0.5, a, xs, QuadratureConfig(nodes=4096))
+    # one call per rule, 32, 64, ... nodes, over all the points: the short
+    # integrals are done at 32 nodes, the long ones are not
+    assert 2 <= len(seen) <= 5
+    for k, zs in enumerate(seen):
+        u, _ = legendre_rule(32 << k)
+        assert np.array_equal(zs, (xs[:, None] - (xs - a)[:, None] * u).ravel())
+    # an integral done early keeps its value while the others refine
     for x, v in zip(xs, values):
-        (one,), _ = singular_integral(np.cos, 0.5, 0.0, (x,), QuadratureConfig(nodes=nodes),
-                                      estimate=False)
-        assert v == pytest.approx(one, rel=1e-13)
+        (one,), _ = singular_integral(lambda zs: np.cos(25.0 * zs), 0.5, a, (x,),
+                                      QuadratureConfig(nodes=4096))
+        assert v == one
+
+
+def test_singular_integral_imports_no_scipy():
+    # the library is NumPy-only: the rule and its moments take no scipy shortcut
+    code = ("import sys, numpy as np; from fraclim.fracderiv import singular_integral; "
+            "singular_integral(lambda z: np.cos(40.0 * z), [0.5, 2.5], 0.0, [0.3, 2.0]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(fraclim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_singular_integral_of_high_order():
-    # m^120 overflows on 1024 nodes; the weights are built from (m/N)^120
+    # the moments of u^119 are a product of ratios, with no power that overflows
     (value,), (est,) = singular_integral(np.ones_like, 120.0, 0.25, [1.75])
     assert value == pytest.approx(float(mp.mpf(1.5) ** 120 / mp.gamma(121)), rel=1e-12)
     assert math.isfinite(est)
@@ -427,9 +496,9 @@ def test_scan_core_validation():
         singular_integral(np.cos, [], 0.0, [0.3], QuadratureConfig())
 
 
-@pytest.mark.parametrize("estimate", [True, False])
+@pytest.mark.parametrize("as_list", [True, False])
 @pytest.mark.parametrize("nodes", [64, 65, 4096])
-def test_singular_integral_orders_equal_one_order_calls(nodes, estimate):
+def test_singular_integral_orders_equal_one_order_calls(nodes, as_list):
     calls = []
 
     def sampler(zs):
@@ -439,19 +508,18 @@ def test_singular_integral_orders_equal_one_order_calls(nodes, estimate):
     cfg = QuadratureConfig(nodes=nodes)
     # 0.5 and 2 among them: NumPy's scalar power takes sqrt and square there
     orders = np.array([0.3, 0.5, 1.0, 1.7, 2.0, 4.25])
-    xs = np.linspace(0.4, 2.0, 9)  # two row blocks at 4096 nodes
-    values, est = singular_integral(sampler, orders, 0.1, xs, cfg, estimate)
+    xs = np.linspace(0.4, 2.0, 9)
+    # a Python list of orders and of points takes the same route as arrays
+    values, est = singular_integral(sampler, orders.tolist() if as_list else orders, 0.1,
+                                    xs.tolist() if as_list else xs, cfg)
     # the grids are sampled once for all the orders
     batched_calls, calls[:] = list(calls), []
     assert values.shape == (6, 9)
     for i, order in enumerate(orders.tolist()):
-        one_values, one_est = singular_integral(sampler, order, 0.1, xs, cfg, estimate)
+        one_values, one_est = singular_integral(sampler, order, 0.1, xs, cfg)
         assert np.array_equal(values[i], one_values)
-        if estimate:
-            assert np.array_equal(est[i], one_est)
-        else:
-            assert est is None and one_est is None
+        assert np.array_equal(est[i], one_est)
     assert calls == batched_calls * len(orders)
     # a list of one order keeps the leading axis
-    values, _ = singular_integral(sampler, [0.3], 0.1, xs, cfg, estimate)
+    values, _ = singular_integral(sampler, [0.3], 0.1, xs, cfg)
     assert values.shape == (1, 9)

@@ -1,28 +1,80 @@
-"""Quadrature kernel against exactly integrable cases.
+"""Quadrature kernels against exactly integrable cases.
 
-The scheme integrates a piecewise-linear interpolant exactly against
-(x - z)**mu, so any linear integrand must come out to machine precision;
-B(2, 1/2) = 4/3 and B(3, 1/2) = 16/15 give rational references.  Every case
-runs through both entry points of the one implementation: the 1-d
-``product_quad_uniform`` and a single row of ``product_quad_rows``.
+The product Gauss-Legendre rule of ``legendre_rule`` and ``legendre_moments``
+must reproduce the closed-form moments (checked in 40-digit arithmetic) and
+integrate u^mu p(u) to rounding for every polynomial p of degree below its
+node count.  The product trapezoid ``product_quad_uniform`` integrates a
+piecewise-linear interpolant exactly against (x - z)**mu, so any linear
+integrand must come out to machine precision; B(2, 1/2) = 4/3 and
+B(3, 1/2) = 16/15 give rational references.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fraclim.kernels import (
     BACKEND,
-    product_quad_rows,
+    legendre_moments,
+    legendre_rule,
     product_quad_uniform,
     product_weights,
 )
 
+KERNELS = [(BACKEND, product_quad_uniform)]
 
-def product_quad_one_row(values, h, mu):
-    return float(product_quad_rows(np.asarray(values)[None, :], [h], mu)[0])
+MOMENT_MUS = [-0.999, -0.97, -0.5, 0.0, 0.3, 1.7, 119.0]
 
 
-KERNELS = [(BACKEND, product_quad_uniform), (BACKEND, product_quad_one_row)]
+def _moment(mu, j):
+    """integral_0^1 u^mu P_j(2u - 1) du = prod_{i<j} (mu - i) / prod_{i<=j} (mu + i + 1)
+    in 40-digit arithmetic (mpmath's quad misses u^-0.97 by ten percent)."""
+    with mp.workdps(40):
+        mu = mp.mpf(mu)
+        return mp.fprod(mu - i for i in range(j)) / mp.fprod(mu + i + 1 for i in range(j + 1))
+
+
+@pytest.mark.parametrize("mu", MOMENT_MUS)
+def test_legendre_moments_match_the_product_formula(mu):
+    m = 160
+    got = legendre_moments(m, mu)
+    assert got.shape == (1, m)
+    for j, value in enumerate(got[0].tolist()):
+        want = _moment(mu, j)
+        assert abs(value - want) <= 1e-14 * abs(want), (j, value, want)
+    # one row per exponent, each equal to its one-exponent call
+    rows = legendre_moments(m, MOMENT_MUS)
+    assert np.array_equal(rows[MOMENT_MUS.index(mu)], got[0])
+
+
+def test_legendre_moments_vanish_past_an_integer_exponent():
+    assert legendre_moments(8, 2.0)[0, 3:].tolist() == [0.0] * 5
+    with pytest.raises(ValueError):
+        legendre_moments(8, -1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 32, 128])
+@pytest.mark.parametrize("mu", MOMENT_MUS)
+def test_legendre_rule_is_exact_below_its_node_count(m, mu):
+    # u^k, k < m: sum_j M_j c_j against 1 / (mu + k + 1), to rounding of the
+    # size sum_j |M_j c_j| that the core measures its estimates against
+    u, b = legendre_rule(m)
+    moments = legendre_moments(m, mu)[0]
+    for k in range(m):
+        c = b @ u**k
+        got = moments @ c
+        size = np.abs(moments) @ np.abs(c)
+        assert abs(got - 1.0 / (mu + k + 1.0)) <= 1e-15 * m * size, (k, got)
+
+
+def test_legendre_rule_is_read_only_and_cached():
+    u, b = legendre_rule(32)
+    assert u.shape == (32,) and b.shape == (32, 32)
+    assert 0.0 < u.min() and u.max() < 1.0
+    assert not u.flags.writeable and not b.flags.writeable
+    assert legendre_rule(32)[1] is b
+    with pytest.raises(ValueError):
+        legendre_rule(0)
 
 
 @pytest.mark.parametrize("name,kernel", KERNELS)
@@ -76,8 +128,7 @@ def test_near_integer_exponent_is_stable():
     v = np.ones(n + 1)
     x = 1.0
     expected = x ** (mu + 1.0) / (mu + 1.0)
-    for _, kernel in KERNELS:
-        assert kernel(v, x / n, mu) == pytest.approx(expected, rel=1e-11)
+    assert product_quad_uniform(v, x / n, mu) == pytest.approx(expected, rel=1e-11)
 
 
 @pytest.mark.parametrize("name,kernel", KERNELS)
@@ -89,36 +140,6 @@ def test_rejects_bad_inputs(name, kernel):
         kernel(good, 0.0, -0.5)  # h must be positive
     with pytest.raises(ValueError):
         kernel(good, 0.1, -1.0)  # kernel not integrable
-
-
-def test_rows_match_one_grid_at_a_time():
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((5, 65))
-    h = rng.uniform(0.01, 1.0, 5)
-    got = product_quad_rows(v, h, -0.3)
-    for i in range(5):
-        assert got[i] == pytest.approx(product_quad_uniform(v[i], h[i], -0.3),
-                                       rel=1e-13, abs=1e-15)
-    with pytest.raises(ValueError):
-        product_quad_rows(v, h[:4], -0.3)  # one spacing per row
-    with pytest.raises(ValueError):
-        product_quad_rows(v[0], h[:1], -0.3)  # not a block
-
-
-def test_rows_of_many_exponents_equal_one_exponent_calls():
-    # 0.5 and 2 are the exponents p = mu + 1 for which NumPy's scalar power
-    # takes sqrt and square; each row must still equal its one-exponent call
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal((31, 129))
-    h = rng.uniform(0.001, 0.1, 31)
-    mus = np.array([-0.5, 0.0, 1.0, -0.7, 2.5, 119.0])
-    got = product_quad_rows(v, h, mus)
-    assert got.shape == (6, 31)
-    for row, mu in zip(got, mus.tolist()):
-        assert np.array_equal(row, product_quad_rows(v, h, mu))
-    assert product_quad_rows(v, h, [-0.5]).shape == (1, 31)
-    with pytest.raises(ValueError):
-        product_quad_rows(v, h, [[-0.5]])  # not a 1-d array of exponents
 
 
 def test_weights_are_read_only_and_cached_in_a_bounded_cache():

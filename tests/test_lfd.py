@@ -148,9 +148,29 @@ def test_scan_config_validation():
         ScanConfig(ratio=1.0)
     with pytest.raises(DomainError):
         ScanConfig(count=0)
+
+
+def test_scan_reaches_offset_1e_200():
+    # the Gauss-Legendre nodes scale with x - a, so no grid degenerates: at
+    # x - a <= 1e-8, D^0.5 sin = (x-a)^0.5 / Gamma(1.5) up to a relative (x-a)^2
+    samples = lfd_scan(SIN, FracOrder(0.5), 0.0, ScanConfig(h0=1e-8, ratio=0.1, count=193))
+    assert samples[-1].offset == pytest.approx(1e-200, rel=1e-12)
+    for s in samples:
+        assert s.value == pytest.approx(s.offset**0.5 / math.gamma(1.5), rel=1e-12)
+        assert s.usable and s.est_error <= 1e-13 * s.value
+
+
+def test_scan_point_rounding_onto_a_raises():
+    # a + 1e-10 * 0.1^7 rounds to a = 1: x > a fails for the last point
+    cfg = ScanConfig(h0=1e-10, ratio=0.1, count=8)
+    assert 1.0 + cfg.h0 * cfg.ratio ** (cfg.count - 1) == 1.0
     with pytest.raises(DomainError):
-        # final offset would sink below the quadrature min_gap
-        ScanConfig(h0=1.0, ratio=0.1, count=14, quad=QuadratureConfig(min_gap=1e-9))
+        lfd_scan(SIN, FracOrder(0.5), 1.0, cfg)
+    with pytest.raises(DomainError):
+        lfd_scan(SIN, FracOrder(1.0), 1.0, cfg)
+    # and a point left of a
+    with pytest.raises(DomainError):
+        caputo_derivative(SIN, FracOrder(0.5), 0.0, -1.0)
 
 
 def test_exact_classifier_branches():
@@ -218,13 +238,14 @@ def test_exponent_tol_must_be_finite_and_non_negative(tol):
         lfd_report(SIN, FracOrder(0.5), 0.0, FAST_CFG, exponent_tol=tol)
 
 
-def test_est_error_shrinks_with_refinement():
+def test_est_error_is_at_rounding_at_both_caps():
     coarse = lfd_scan(SIN, FracOrder(0.5), 0.0,
                       ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=256)))
     fine = lfd_scan(SIN, FracOrder(0.5), 0.0,
                     ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=1024)))
     for c, f in zip(coarse, fine):
-        assert f.est_error < c.est_error
+        assert 0.0 < c.est_error <= 1e-13 * abs(c.value)
+        assert 0.0 < f.est_error <= 1e-13 * abs(f.value)
 
 
 def test_oscillatory_integer_order_stays_finite_from_small_h0():
