@@ -7,9 +7,8 @@ lfd-scan        geometric scan toward the base point + limit classification
 leibniz         product-rule defect / integer-sum / symmetrized-series report
 verify-theorem  run the limit dichotomy over a corpus file and an alpha grid
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 verification failure.
-FRACLIM_MAX_THREADS caps the corpus fan-out; output is deterministic (input
-order) regardless of the thread count.
+Exit codes: 0 success, 2 parse error or a file that cannot be read or
+written, 3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .exceptions import DomainError, ExprParseError, FraclimError
 from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
@@ -40,38 +37,40 @@ __all__ = ["build_parser", "console_main", "main", "max_threads", "read_corpus"]
 
 
 def max_threads() -> int:
-    """Worker cap for corpus fan-out, from FRACLIM_MAX_THREADS when set."""
-    raw = os.environ.get("FRACLIM_MAX_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ExprParseError(
-                f"expected an integer, got {raw!r}", field="FRACLIM_MAX_THREADS"
-            )
-    return min(8, os.cpu_count() or 1)
+    """Always 1: verify-theorem computes its rows serially.
+
+    The benchmark's context report is the only reader; ROADMAP item 1
+    deletes this function together with that read.
+    """
+    return 1
 
 
 def read_corpus(path: str):
     """Parse a corpus file: one '<expr> @ <base point>' per line, '#' comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ExprParseError(f"cannot read: {exc.strerror}", field=path)
+    except UnicodeDecodeError as exc:
+        raise ExprParseError(f"not UTF-8 text: {exc.reason}", field=path)
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "@" not in line:
-                raise ExprParseError("expected '<expr> @ <base point>'", field=where)
-            expr_text, _, a_text = line.rpartition("@")
-            f = parse_expr(expr_text.strip(), field=where)
-            try:
-                a = float(a_text.strip())
-            except ValueError:
-                raise ExprParseError(
-                    f"bad base point {a_text.strip()!r}", field=where
-                )
-            entries.append((f, a))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "@" not in line:
+            raise ExprParseError("expected '<expr> @ <base point>'", field=where)
+        expr_text, _, a_text = line.rpartition("@")
+        f = parse_expr(expr_text.strip(), field=where)
+        try:
+            a = float(a_text.strip())
+        except ValueError:
+            raise ExprParseError(
+                f"bad base point {a_text.strip()!r}", field=where
+            )
+        entries.append((f, a))
     return entries
 
 
@@ -198,7 +197,11 @@ def cmd_lfd_scan(args) -> int:
 
 def _write_plot_data(path, report):
     # data-only plot emission: linear and log-log columns side by side
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ExprParseError(f"cannot write: {exc.strerror}", field=path)
+    with fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "value", "log_offset", "log_abs_value"])
         for s in report.samples:
@@ -297,22 +300,11 @@ def cmd_verify_theorem(args) -> int:
         count=args.count,
         quad=QuadratureConfig(nodes=args.nodes),
     )
-    tasks = [(f, a, order) for f, a in entries for order in alphas]
-    workers = max_threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda t: _theorem_row(t[0], t[1], t[2], scan_cfg, args.tol,
-                                           args.exponent_tol),
-                    tasks,
-                )
-            )
-    else:
-        rows = [
-            _theorem_row(f, a, order, scan_cfg, args.tol, args.exponent_tol)
-            for f, a, order in tasks
-        ]
+    rows = [
+        _theorem_row(f, a, order, scan_cfg, args.tol, args.exponent_tol)
+        for f, a in entries
+        for order in alphas
+    ]
     passed = all(r["status"] == "PASS" for r in rows)
     if args.output == "json":
         _print_json(

@@ -24,7 +24,6 @@ __all__ = [
     "FuncExpr",
     "PowerTerm",
     "SinTerm",
-    "TaylorPoly",
     "derivative",
     "derivative_chain",
     "evaluate",
@@ -33,7 +32,6 @@ __all__ = [
     "parse_expr",
     "poly_product",
     "polynomial_degree",
-    "taylor_poly",
 ]
 
 
@@ -252,45 +250,7 @@ def _d1(f: FuncExpr) -> FuncExpr:
 
 
 # ---------------------------------------------------------------------------
-# Taylor polynomials and polynomial products
-
-
-@dataclass(frozen=True)
-class TaylorPoly:
-    """Truncated Taylor polynomial: coeffs[k] = f^(k)(center) / k!."""
-
-    center: float
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: float) -> float:
-        u = float(x) - self.center
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * u + c
-        return total
-
-    def to_func_expr(self) -> FuncExpr:
-        return FuncExpr(
-            tuple(PowerTerm(c, self.center, float(k)) for k, c in enumerate(self.coeffs))
-        )
-
-
-def taylor_poly(f: FuncExpr, a: float, n: int) -> TaylorPoly:
-    """Degree n-1 Taylor polynomial of f about a (exactly n coefficients)."""
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    coeffs = []
-    g = f
-    for k in range(n):
-        coeffs.append(evaluate(g, a) / math.factorial(k))
-        if k + 1 < n:
-            g = _d1(g)
-    return TaylorPoly(float(a), tuple(coeffs))
+# Polynomials and polynomial products
 
 
 def polynomial_degree(f: FuncExpr):

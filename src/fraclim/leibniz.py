@@ -307,7 +307,7 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     if K != int(K) or K < 0:
         raise DomainError(f"K must be a non-negative integer, got {K!r}")
     K = int(K)
-    binomials = [frac_binomial(alpha.alpha, k, halved=True) for k in range(K + 1)]
+    binomials = [0.5 * frac_binomial(alpha.alpha, k) for k in range(K + 1)]
     # b is zero exactly for the k past an integer alpha, so the k whose
     # terms live are 0 .. live - 1
     live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)

@@ -85,14 +85,13 @@ def rgamma(x: float) -> float:
     return 1.0 / g
 
 
-def frac_binomial(alpha: float, k: int, halved: bool = False) -> float:
+def frac_binomial(alpha: float, k: int) -> float:
     """Generalized binomial coefficient Gamma(a+1) / (Gamma(a-k+1) Gamma(k+1)).
 
     Computed as the product prod_{j<k} (alpha - j) / (j + 1), which stays
     finite where the gamma quotient would be inf * 0.  For integer alpha this
     reproduces the ordinary binomial coefficient exactly and vanishes for
-    k > alpha.  With ``halved=True`` the value carries the extra factor 1/2
-    used by the symmetrized product rule.
+    k > alpha.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
@@ -102,4 +101,4 @@ def frac_binomial(alpha: float, k: int, halved: bool = False) -> float:
     value = 1.0
     for j in range(int(k)):
         value = value * (alpha - j) / (j + 1)
-    return 0.5 * value if halved else value
+    return value

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import fraclim
 from fraclim import schemas
 from fraclim.cli import main, max_threads, read_corpus
 from fraclim.exceptions import ExprParseError
@@ -242,22 +244,34 @@ def test_verify_theorem_csv(capsys, tmp_path):
     assert all(r[7] == "PASS" for r in rows[1:])
 
 
-def test_determinism_across_thread_counts(capsys, monkeypatch):
-    argv = ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "0.5,1",
-            "--output", "json"]
-    monkeypatch.setenv("FRACLIM_MAX_THREADS", "7")
-    _, out1, _ = run(capsys, argv)
-    monkeypatch.setenv("FRACLIM_MAX_THREADS", "1")
-    _, out2, _ = run(capsys, argv)
-    assert out1 == out2
+def test_verify_theorem_starts_no_threads():
+    # the rows are computed serially: no executor is imported, no worker outlives the run
+    code = (
+        "import contextlib, io, sys, threading\n"
+        "from fraclim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify-theorem', '--corpus', {str(CORPUS)!r},"
+        " '--alphas', '0.5,1,2.5', '--count', '24']) == 0\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    src = str(Path(fraclim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == ["False", "1"]
 
 
 def test_repeat_runs_bit_identical(capsys):
-    argv = ["eval", "--f", "exp(c=1,lam=1)", "--alpha", "1.5", "--a", "0",
-            "--x", "0.9", "--output", "json"]
-    _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv)
-    assert out1 == out2
+    for argv in (
+        ["eval", "--f", "exp(c=1,lam=1)", "--alpha", "1.5", "--a", "0",
+         "--x", "0.9", "--output", "json"],
+        ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "0.5,1",
+         "--output", "json"],
+    ):
+        _, out1, _ = run(capsys, argv)
+        _, out2, _ = run(capsys, argv)
+        assert out1 == out2
 
 
 # --- corpus parsing ---
@@ -283,6 +297,31 @@ def test_read_corpus_error_reports_line(tmp_path):
     with pytest.raises(ExprParseError) as exc:
         read_corpus(str(p))
     assert ":2" in str(exc.value)
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_corpus_is_a_parse_error(capsys, tmp_path, case):
+    path = tmp_path / "c.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"sin(c=1,w=1) @ 0  # \xff\n")
+    code, out, err = run(capsys, [
+        "verify-theorem", "--corpus", str(path), "--alphas", "0.5",
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def test_unwritable_plot_data_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.csv"
+    code, _, err = run(capsys, [
+        "lfd-scan", "--f", "pow(c=1,x0=0,beta=2)", "--alpha", "0.5", "--a", "0",
+        "--count", "6", "--plot-data", str(target),
+    ])
+    assert code == 2
+    assert err.count("\n") == 1 and str(target) in err
 
 
 def test_read_corpus_bad_base_point(tmp_path):
@@ -391,15 +430,12 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_max_threads_env(monkeypatch):
-    monkeypatch.setenv("FRACLIM_MAX_THREADS", "3")
-    assert max_threads() == 3
-    monkeypatch.setenv("FRACLIM_MAX_THREADS", "0")
+    # a constant: the environment no longer sets a worker count
+    monkeypatch.delenv("FRACLIM_MAX_THREADS", raising=False)
     assert max_threads() == 1
-    monkeypatch.setenv("FRACLIM_MAX_THREADS", "junk")
-    with pytest.raises(ExprParseError):
-        max_threads()
-    monkeypatch.delenv("FRACLIM_MAX_THREADS")
-    assert max_threads() >= 1
+    for raw in ("7", "junk"):
+        monkeypatch.setenv("FRACLIM_MAX_THREADS", raw)
+        assert max_threads() == 1
 
 
 @pytest.mark.parametrize("module", ["fraclim", "fraclim.cli", "fraclim.lfd",

@@ -21,7 +21,6 @@ from fraclim.funcmodel import (
     parse_expr,
     poly_product,
     polynomial_degree,
-    taylor_poly,
 )
 
 
@@ -158,25 +157,6 @@ def test_format_parse_round_trip():
 def test_round_trip_property(c, x0, k, w):
     f = FuncExpr([PowerTerm(c, x0, float(k)), SinTerm(c, w, 0.0)])
     assert parse_expr(format_expr(f)) == f
-
-
-def test_taylor_poly_reproduces_polynomial():
-    f = parse_expr("pow(c=1,x0=0,beta=3) + pow(c=-2,x0=0,beta=1) + pow(c=5,x0=0,beta=0)")
-    t = taylor_poly(f, 0.7, 4)
-    for x in (0.0, 0.7, 1.9):
-        assert t.evaluate(x) == pytest.approx(evaluate(f, x), rel=1e-12, abs=1e-12)
-    assert t.degree <= 3
-    back = t.to_func_expr()
-    assert evaluate(back, 1.3) == pytest.approx(evaluate(f, 1.3), rel=1e-12)
-
-
-def test_taylor_poly_truncates_transcendental():
-    f = parse_expr("exp(c=1,lam=1)")
-    t = taylor_poly(f, 0.0, 3)
-    # 1 + x + x^2/2 (+ x^3/6 cut: n=3 keeps k=0..2)
-    assert t.coeffs[0] == pytest.approx(1.0)
-    assert t.coeffs[1] == pytest.approx(1.0)
-    assert t.coeffs[2] == pytest.approx(0.5)
 
 
 def test_polynomial_degree():

@@ -385,7 +385,7 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
 
     terms = []
     for k in range(K + 1):
-        b = frac_binomial(alpha, k, halved=True)
+        b = 0.5 * frac_binomial(alpha, k)
         order = alpha - k
         terms.append(0.0 if b == 0.0 else
                      b * (rl(f, order) * evaluate(derivative(g, k), x)
