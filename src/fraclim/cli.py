@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 from .exceptions import DomainError, ExprParseError, FraclimError
 from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
@@ -434,7 +435,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            # NumPy's floating-point warnings: an overflow ends in a DomainError
+            warnings.filterwarnings("ignore", r".* encountered in ", RuntimeWarning)
+            return args.handler(args)
     except ExprParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

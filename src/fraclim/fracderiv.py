@@ -1,31 +1,31 @@
 """Left-sided Caputo and Riemann-Liouville fractional derivatives.
 
-One route computes both: ``derivative_many``, with ``caputo_derivative`` and
-``rl_derivative`` its one-point case.  It splits f (``split_powers``) into the
-power terms centered at the base point, which take the exact power rule
-(``power_rule``), and a rest, which the symbolic layer differentiates n times
-and ``caputo_from_nth`` takes through the singular integral
+One route computes both, for many orders and points: ``derivative_many``.
+It splits f (``split_powers``) into the power terms centered at the base
+point, which take the exact power rule (``power_rule``), and a rest, whose
+derivatives ``caputo_from_chain`` takes through the singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
 ``singular_integral`` is the one quadrature core under it, product
 Gauss-Legendre integration for many points and orders at once, with an error
 estimate from the same samples; it is also the package's fractional
-integral.  The Riemann-Liouville operator is the Caputo one plus the boundary
-terms
+integral.  The Riemann-Liouville operator is the Caputo one plus the RL power
+rule on the Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
 
     RL^alpha f = Caputo^alpha f
-                 + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha),
+                 + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha).
 
-whose 1/Gamma(k+1-alpha) coefficients are forced by the per-term RL power
-rule; the superficially plausible 1/k! variant fails it.  ``boundary_terms``
-is the one place that sum is computed.
+The 1/Gamma(k+1-alpha) come from the power rule itself; the superficially
+plausible 1/k! variant fails it.  At a negative order n = 0: a fractional
+integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .specfun import FracOrder, as_order, gamma, rgamma
 __all__ = [
     "DerivResult",
     "QuadratureConfig",
-    "boundary_terms",
     "caputo_derivative",
-    "caputo_from_nth",
+    "caputo_from_chain",
     "caputo_power_coefficient",
     "derivative_many",
     "power_rule",
@@ -87,11 +86,15 @@ class DerivResult:
             raise ValueError("est_error must be present iff method is Quadrature")
 
 
-def _check_interval(a, x):
-    if not (math.isfinite(a) and math.isfinite(x)):
-        raise DomainError(f"a and x must be finite, got x={x!r}, a={a!r}")
-    if not x > a:
-        raise DomainError(f"evaluation point must satisfy x > a, got x={x!r}, a={a!r}")
+def _check_interval(a, xs):
+    """DomainError unless a and every x in ``xs`` are finite, with x > a."""
+    if xs and math.isfinite(a + sum(xs)) and min(xs) > a:
+        return
+    for x in xs:
+        if not (math.isfinite(a) and math.isfinite(x)):
+            raise DomainError(f"a and x must be finite, got x={x!r}, a={a!r}")
+        if not x > a:
+            raise DomainError(f"evaluation point must satisfy x > a, got x={x!r}, a={a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> li
     """The power rule summed over ``parts``, [(c, beta)] for the terms
     c (x - a)^beta, at every x in ``xs``: Caputo of a positive ``order``, or
     RL of any real order (negative: a fractional integral).  The coefficients
-    are taken once; each point sums Python scalars, a Caputo term as
-    (c * coefficient) * power, an RL term as c * (coefficient * power).
-    DomainError when a power overflows."""
+    are taken once, and a term with c or its coefficient 0 is left out; each
+    point sums Python scalars, a Caputo term as (c * coefficient) * power, an
+    RL term as c * (coefficient * power).  DomainError when a power overflows."""
     alpha = as_order(order) if kind == KIND_CAPUTO else None
     terms = []
     for c, beta in parts:
@@ -124,7 +127,7 @@ def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> li
             scale, coef = 1.0, c * caputo_power_coefficient(beta, alpha)
         else:
             scale, coef = c, gamma(beta + 1.0) * rgamma(beta + 1.0 - order)
-        if coef != 0.0:
+        if c != 0.0 and coef != 0.0:
             terms.append((scale, coef, beta - order))
     values = []
     for x in xs:
@@ -190,8 +193,7 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
             raise DomainError(f"integral order must be positive, got {o!r}")
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
-    for x in xs.tolist():
-        _check_interval(a, x)
+    _check_interval(a, xs.tolist())
     h = xs - a
     mu = orders - 1.0
     # one power call per order, as a Python float: NumPy takes sqrt or square
@@ -224,51 +226,55 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
     return values, est_errors
 
 
-def caputo_from_nth(sampler, alpha, a: float, xs,
-                    cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
-    """Caputo derivative at every x in ``xs`` of a function f, as arrays of
-    values and error estimates; ``sampler`` maps a 1-d array of points z to
-    f^(n)(z).  Given ``at_a``, the f^(k)(a) for k < n, the values gain the
-    ``boundary_terms`` and are the Riemann-Liouville derivative.
-
-    Integer alpha takes the exact sampler(xs) with estimate 0 (the singular
-    integral degenerates there: Gamma(n - alpha) has a pole); fractional alpha
-    is the integral of order n - alpha of f^(n), through ``singular_integral``.
-    """
-    alpha = as_order(alpha)
+def caputo_from_chain(chain, orders, a: float, xs,
+                      cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
+    """Caputo derivatives of g at every order in ``orders`` and x in ``xs``,
+    as lists of rows of values and of estimates, one row per order;
+    ``chain[k]`` maps a 1-d array of points z to g^(k)(z).  An order o takes
+    n = max(ceil(o), 0) derivatives: the orders that share an n are one
+    ``singular_integral`` call, of the orders n - o on chain[n], and o == n
+    is chain[n](xs), exact, with estimate 0.  Given ``at_a``, the g^(k)(a),
+    a row gains the RL power rule on the Taylor terms g^(k)(a)/k! (x - a)^k,
+    k < n, and is the RL derivative; a negative order is a fractional
+    integral.  DomainError when a value is not finite."""
+    a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
-    if alpha.is_integer:
-        for x in xs.tolist():
-            _check_interval(a, x)
-        values, est_errors = np.asarray(sampler(xs), dtype=np.float64), np.zeros(xs.shape)
-    else:
-        values, est_errors = singular_integral(sampler, alpha.n - alpha.alpha, a, xs, cfg)
+    points = xs.tolist()
+    groups = {}  # n -> the indices of the orders that take n derivatives
+    for i, o in enumerate(orders):
+        groups.setdefault(math.ceil(o) if o > 0.0 else 0, []).append(i)
+    values, est_errors = [None] * len(orders), [None] * len(orders)
+    for n, group in groups.items():
+        quad = [i for i in group if orders[i] != n]
+        if quad:
+            rows, ests = singular_integral(chain[n], [n - orders[i] for i in quad], a, xs, cfg)
+            for i, value, est in zip(quad, rows.tolist(), ests.tolist()):
+                values[i], est_errors[i] = value, est
+        if len(quad) < len(group):  # singular_integral checks the points of the others
+            _check_interval(a, points)
+            value = np.asarray(chain[n](xs), dtype=np.float64).tolist()
+            for i in group:
+                if orders[i] == n:
+                    values[i], est_errors[i] = value, [0.0] * xs.size
     if at_a is not None:
-        values = values + [boundary_terms(at_a, alpha, a, x) for x in xs.tolist()]
+        taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
+        for n, group in groups.items():
+            if n > 0:
+                for i in group:
+                    power = power_rule(taylor[:n], orders[i], a, points, KIND_RL)
+                    values[i] = [v + p for v, p in zip(values[i], power)]
+    _check_finite(values, a, points)
     return values, est_errors
 
 
-# ---------------------------------------------------------------------------
-# Riemann-Liouville minus Caputo
-
-
-def boundary_terms(at_a, alpha, a: float, x: float) -> float:
-    """RL minus Caputo at x: the sum over k of
-    f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha), where at_a[k] holds
-    f^(k)(a) for k = 0..n-1.  At integer alpha every term vanishes through
-    rgamma, so RL and Caputo collapse to the classical derivative together.
-    DomainError when a power overflows.
-    """
-    alpha = as_order(alpha).alpha
-    total = 0.0
-    try:
-        for k, fk_a in enumerate(at_a):
-            coef = rgamma(k + 1.0 - alpha)
-            if fk_a != 0.0 and coef != 0.0:
-                total += fk_a * coef * (x - a) ** (k - alpha)
-    except OverflowError:
-        raise DomainError(f"the boundary terms overflow at x={x!r}, a={a!r}") from None
-    return total
+def _check_finite(rows, a, xs):
+    """DomainError naming the first x where a row of ``rows`` is not finite."""
+    if math.isfinite(sum(map(sum, rows))):  # an inf or nan anywhere reaches the sum
+        return
+    for row in rows:
+        for x, v in zip(xs, row):
+            if not math.isfinite(v):
+                raise DomainError(f"the derivative is not finite at x={x!r}, a={a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +284,45 @@ def boundary_terms(at_a, alpha, a: float, x: float) -> float:
 def derivative_many(f: FuncExpr, alpha, a: float, xs,
                     cfg: QuadratureConfig = QuadratureConfig(), kind: str = KIND_CAPUTO):
     """Caputo (or, for ``kind=KIND_RL``, RL) derivative of f at every x in
-    ``xs``, as (values, est_errors, method).
+    ``xs``, as (values, est_errors, method).  ``alpha`` is one order, or a
+    list of them: each of the three then holds one entry per order.  An RL
+    order may be any real number, a negative one a fractional integral.
 
-    The ``parts`` of split_powers(f, a) take ``power_rule`` point by point;
-    the rest is one ``caputo_from_nth`` call on rest^(n) over all the points,
-    plus its ``boundary_terms`` for RL.  The estimates are the rest's (0 when
-    it is empty or the order an integer).  The
-    method is ClosedForm for an empty rest, or Caputo at an integer order;
-    otherwise Quadrature for Caputo and Bridge for RL.
+    The ``parts`` of split_powers(f, a) take ``power_rule``; the rest is one
+    ``caputo_from_chain`` call over all the orders and points, on the chain
+    rest, rest', ..., given the rest^(k)(a) for RL.  The estimates are the
+    rest's (0 when it is empty or the order an integer).  The method is
+    ClosedForm for an empty rest, or Caputo at an integer order; otherwise
+    Quadrature for Caputo and Bridge for RL.  DomainError when a value is
+    not finite.
     """
-    alpha = as_order(alpha)
+    many = isinstance(alpha, (list, tuple))
+    orders = [float(o) for o in (alpha if many else (alpha,))]
+    if (not orders or not math.isfinite(sum(orders))
+            or kind == KIND_CAPUTO and min(orders) <= 0.0):
+        raise DomainError(f"need finite orders, positive for Caputo, got {alpha!r}")
     a = float(a)
     xs = [float(x) for x in xs]
-    for x in xs:
-        _check_interval(a, x)
+    _check_interval(a, xs)
     parts, rest = split_powers(f, a)
-    values, est_errors, method = [0.0] * len(xs), [0.0] * len(xs), METHOD_CLOSED
-    if not rest.is_zero():
-        chain = derivative_chain([rest], alpha.n)
+    if rest.is_zero():
+        values = [[0.0] * len(xs) for _ in orders]
+        est_errors = [[0.0] * len(xs) for _ in orders]
+        methods = [METHOD_CLOSED] * len(orders)
+    else:
+        chain = derivative_chain([rest], max(math.ceil(max(orders)), 0))
         at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
-        values, est_errors = caputo_from_nth(lambda zs: evaluate_many(chain[-1], zs),
-                                             alpha, a, xs, cfg, at_a)
-        if kind == KIND_RL or not alpha.is_integer:
-            method = METHOD_BRIDGE if kind == KIND_RL else METHOD_QUAD
+        values, est_errors = caputo_from_chain([partial(evaluate_many, g) for g in chain],
+                                               orders, a, xs, cfg, at_a)
+        methods = ([METHOD_BRIDGE] * len(orders) if kind == KIND_RL else
+                   [METHOD_CLOSED if o.is_integer() else METHOD_QUAD for o in orders])
     if parts:  # the rest's value first; with no power term it stands as it is
-        power = power_rule(parts, alpha.alpha, a, xs, kind)
-        values = [v + p for v, p in zip(values, power)]
-    return [float(v) for v in values], [float(e) for e in est_errors], method
+        values = [[v + p for v, p in zip(row, power_rule(parts, o, a, xs, kind))]
+                  for row, o in zip(values, orders)]
+        _check_finite(values, a, xs)
+    if many:
+        return values, est_errors, methods
+    return values[0], est_errors[0], methods[0]
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,

@@ -143,11 +143,17 @@ class FuncExpr:
 
 
 def evaluate(f: FuncExpr, x: float) -> float:
-    """Value of f at a scalar point; DomainError outside a term's domain."""
+    """Value of f at a scalar point; DomainError outside a term's domain and
+    when the value overflows."""
     x = float(x)
     total = 0.0
-    for t in f.terms:
-        total += _term_value(t, x)
+    try:
+        for t in f.terms:
+            total += _term_value(t, x)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{format_expr(f)} overflows at x={x!r}")
     return total
 
 

@@ -10,8 +10,10 @@ infinite series
                         * [ (D^(alpha-k) f) g^(k) + (D^(alpha-k) g) f^(k) ]
 
 whose k > alpha terms involve fractional *integrals* (negative-order RL
-operators).  The series terminates for polynomials and is truncated at K
-otherwise, with |term_K| reported as the residual.
+operators).  The orders alpha - k of a factor are one ``derivative_many``
+call, each RL derivative the Caputo one plus the RL power rule on the Taylor
+terms f^(j)(a)/j! (x - a)^j.  The series terminates for polynomials and is
+truncated at K otherwise, with |term_K| reported as the residual.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
     QuadratureConfig,
-    caputo_from_nth,
+    caputo_from_chain,
     derivative_many,
-    power_rule,
-    singular_integral,
-    split_powers,
 )
 from .funcmodel import (
     FuncExpr,
@@ -128,10 +127,6 @@ def _check_points(a, points):
                           f"got {points!r}")
 
 
-def _sampler(f):
-    return lambda zs: evaluate_many(f, zs)
-
-
 def _product_nth_values(fs, gs, n):
     """Callable sampling (fg)^(n) via the integer Leibniz expansion of the
     symbolic factor derivatives fs[j] = f^(j) and gs[j] = g^(j), j <= n
@@ -149,17 +144,16 @@ def _product_nth_values(fs, gs, n):
 
 def _d_product(f, g, alpha, a, pts, cfg, kind):
     """D^alpha(fg) at every point of pts: a product of two polynomials is
-    multiplied out for derivative_many; any other is one caputo_from_nth call
-    on the Leibniz-expanded (fg)^(n), each factor derived once."""
+    multiplied out for derivative_many; any other is one caputo_from_chain
+    call on the Leibniz-expanded chain (fg)^(k), each factor derived once."""
     try:
         fg = poly_product(f, g)
     except UnsupportedProduct:
         fs = derivative_chain([f], alpha.n)
         gs = derivative_chain([g], alpha.n)
-        at_a = None if kind == KIND_CAPUTO else [
-            float(_product_nth_values(fs, gs, k)([a])[0]) for k in range(alpha.n)]
-        nth = _product_nth_values(fs, gs, alpha.n)
-        return caputo_from_nth(nth, alpha, a, pts, cfg, at_a)[0].tolist()
+        chain = [_product_nth_values(fs, gs, k) for k in range(alpha.n + 1)]
+        at_a = None if kind == KIND_CAPUTO else [float(d([a])[0]) for d in chain[:-1]]
+        return caputo_from_chain(chain, [alpha.alpha], a, pts, cfg, at_a)[0][0]
     return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 
@@ -208,22 +202,16 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
 
 
 def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
-    """Finite product-rule sum at integer order n with gamma coefficients:
-    sum_k Gamma(n+1)/(Gamma(n-k+1) Gamma(k+1)) f^(n-k)(x) g^(k)(x)."""
+    """Finite product-rule sum at integer order n:
+    sum_k C(n, k) f^(n-k)(x) g^(k)(x), with exact binomials and derivatives."""
     if n != int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    return _integer_sum(derivative_chain([f], n), derivative_chain([g], n), n, float(x))
-
-
-def _integer_sum(fs, gs, n, x):
-    """integer_leibniz at x from fs[j] = f^(j) and gs[j] = g^(j), j <= n."""
+    x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
-    total = 0.0
-    for k in range(n + 1):
-        total += frac_binomial(float(n), k) * evaluate(fs[n - k], x) * evaluate(gs[k], x)
-    return total
+    nth = _product_nth_values(derivative_chain([f], n), derivative_chain([g], n), n)
+    return float(nth([x])[0])
 
 
 def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizReport:
@@ -239,10 +227,14 @@ def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizRe
     pts = tuple(float(p) for p in points)
     if not pts:
         raise DomainError("need at least one evaluation point")
+    if not all(map(math.isfinite, pts)):
+        raise DomainError(f"evaluation points must be finite, got {pts!r}")
     exact = derivative(poly_product(f, g), alpha.n)
+    exact_values = [evaluate(exact, x) for x in pts]  # DomainError on overflow
     fs = derivative_chain([f], alpha.n)
     gs = derivative_chain([g], alpha.n)
-    defects = [evaluate(exact, x) - _integer_sum(fs, gs, alpha.n, x) for x in pts]
+    sums = _product_nth_values(fs, gs, alpha.n)(pts).tolist()
+    defects = [e - s for e, s in zip(exact_values, sums)]
     return LeibnizReport(
         alpha=alpha,
         points=pts,
@@ -250,38 +242,6 @@ def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizRe
         max_abs_defect=max(abs(d) for d in defects),
         rule_form=RULE_INTEGER_SUM,
     )
-
-
-def _rl_orders(chain, alpha, live, a, x, cfg):
-    """The RL operators of the orders alpha - k, k < live, on f = chain[0] at
-    x, where chain[j] is f^(j): derivatives for k < alpha, f itself at
-    k == alpha and fractional integrals past it.
-
-    The power terms of f centered at a take the power rule.  Of the rest of
-    f, every integral comes from one sample per rule on [a, x], and the
-    derivative of order alpha - k is caputo_from_nth on rest^(n-k), with the
-    rest^(j)(a) of its boundary terms taken once."""
-    f = chain[0]
-    orders = [alpha.alpha - k for k in range(live)]
-    parts, rest = split_powers(f, a)
-    terms = [power_rule(parts, order, a, (x,), KIND_RL)[0] for order in orders]
-    if not rest.is_zero():
-        rests = derivative_chain([rest] if parts else chain, alpha.n)
-        at_a = [evaluate(rj, a) for rj in rests[:alpha.n]]
-        quad = []
-        for order in orders:
-            if order > 0.0:
-                d = FracOrder(order)
-                quad += caputo_from_nth(_sampler(rests[d.n]), d, a, (x,), cfg,
-                                        at_a[:d.n])[0].tolist()
-            elif order == 0.0:
-                quad.append(0.0)  # f(x) itself, below
-        integrals = [-order for order in orders if order < 0.0]
-        if integrals:
-            values, _ = singular_integral(_sampler(rests[0]), integrals, a, (x,), cfg)
-            quad += [float(v) for v in values[:, 0]]
-        terms = [q + p for q, p in zip(quad, terms)] if parts else quad
-    return [evaluate(f, x) if order == 0.0 else t for order, t in zip(orders, terms)]
 
 
 def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
@@ -313,8 +273,9 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)
     fs = derivative_chain([f], live - 1)
     gs = derivative_chain([g], live - 1)
-    df = _rl_orders(fs, alpha, live, a, x, cfg)
-    dg = _rl_orders(gs, alpha, live, a, x, cfg)
+    orders = [alpha.alpha - k for k in range(live)]
+    df = [v for v, in derivative_many(f, orders, a, (x,), cfg, KIND_RL)[0]]
+    dg = [v for v, in derivative_many(g, orders, a, (x,), cfg, KIND_RL)[0]]
     terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
              for k, b in enumerate(binomials[:live])]
     terms += [0.0] * (K + 1 - live)

@@ -180,8 +180,10 @@ def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
     elif slope < -exponent_tol:
         cls = Classification(CLASS_DIVERGENT)
     else:
-        tail = usable[-3:]
-        cls = Classification(CLASS_FINITE, sum(s.value for s in tail) / len(tail))
+        # v = L + c (x - a) near a: extrapolate the last two usable samples to
+        # x = a, unless rounding put them at the same x
+        (h1, v1), (h2, v2) = ((s.offset, s.value) for s in usable[-2:])
+        cls = Classification(CLASS_FINITE, (h1 * v2 - h2 * v1) / (h1 - h2) if h1 != h2 else v2)
     return LfdReport(tuple(samples), float(slope), float(prefactor), cls,
                      theory_exponent, theory_prefactor)
 

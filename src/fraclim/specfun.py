@@ -39,6 +39,9 @@ class FracOrder:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "is_integer", a == n)
 
+    def __float__(self) -> float:
+        return self.alpha
+
 
 def as_order(alpha) -> FracOrder:
     """Coerce a float (or FracOrder) to a FracOrder."""

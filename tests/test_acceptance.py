@@ -25,9 +25,8 @@ from fraclim.fracderiv import (
     KIND_RL,
     METHOD_CLOSED,
     QuadratureConfig,
-    boundary_terms,
     caputo_derivative,
-    caputo_from_nth,
+    caputo_from_chain,
     power_rule,
 )
 from fraclim.funcmodel import (
@@ -59,7 +58,17 @@ def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
     """Caputo derivative of f at x by quadrature of the sampled f^(n), for
     every term, where caputo_derivative would take the power rule."""
     fn = derivative(f, order.n)
-    (value,), _ = caputo_from_nth(lambda zs: evaluate_many(fn, zs), order, a, (x,), cfg)
+    # only chain[n] is sampled when no boundary values are given
+    chain = [None] * order.n + [lambda zs: evaluate_many(fn, zs)]
+    ((value,),), _ = caputo_from_chain(chain, [order.alpha], a, (x,), cfg)
+    return float(value)
+
+
+def _boundary_sum(at_a, order, a, x):
+    """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
+    the RL part of caputo_from_chain, alone on the chain of the zero function."""
+    zero = [np.zeros_like] * (len(at_a) + 1)
+    ((value,),), _ = caputo_from_chain(zero, [order.alpha], a, (x,), at_a=at_a)
     return float(value)
 
 
@@ -221,7 +230,7 @@ def test_criterion_7_bridge_consistency():
         alpha = FracOrder(float(rng.uniform(0.1, 2.9)))
         x = a + float(rng.uniform(0.4, 1.2))
         at_a = [evaluate(derivative(f, k), a) for k in range(alpha.n)]
-        got = _closed(f, alpha, a, x) + boundary_terms(at_a, alpha, a, x)
+        got = _closed(f, alpha, a, x) + _boundary_sum(at_a, alpha, a, x)
         want = sum(t.c * power_rule(((1.0, t.beta),), alpha.alpha, a, (x,), KIND_RL)[0]
                    for t in f.terms)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -231,7 +240,7 @@ def test_criterion_7_bridge_consistency():
     want = (power_rule(((1.0, 0.0),), 0.5, 0.0, (1.0,), KIND_RL)[0]
             + power_rule(((1.0, 1.0),), 0.5, 0.0, (1.0,), KIND_RL)[0])
     cap = _closed(f, FracOrder(0.5), 0.0, 1.0)
-    good = cap + boundary_terms([evaluate(f, 0.0)], FracOrder(0.5), 0.0, 1.0)
+    good = cap + _boundary_sum([evaluate(f, 0.0)], FracOrder(0.5), 0.0, 1.0)
     # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
     bad = cap + evaluate(f, 0.0) / math.factorial(0)
     ok = worst <= 1e-8 and abs(good - want) <= 1e-8 and abs(bad - want) > 1e-2

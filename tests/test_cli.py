@@ -216,6 +216,16 @@ def test_verify_theorem_text_summary(capsys):
     assert "30/30 rows passed" in out
 
 
+def test_verify_theorem_integer_orders_at_default_count(capsys):
+    # the Finite limit is extrapolated to x = a, not the mean of the smallest
+    # offsets, so f^(n)(a) is met within the default --tol at the default --count
+    code, out, err = run(capsys, [
+        "verify-theorem", "--corpus", str(CORPUS), "--alphas", "1,2",
+    ])
+    assert code == 0, err
+    assert "60/60 rows passed" in out
+
+
 def test_verify_theorem_detects_divergence(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("pow(c=1,x0=0,beta=0.3) @ 0\n")
@@ -372,6 +382,21 @@ def test_overflowing_power_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eval", "--f", "exp(c=1,lam=800)", "--alpha", "0.5", "--a", "0", "--x", "1"],
+    ["eval", "--f", "pow(c=1e308,x0=0,beta=3) + sin(c=1,w=1)", "--alpha", "0.5",
+     "--a", "0", "--x", "10", "--output", "json"],
+    ["leibniz", "--f", "exp(c=1,lam=800)", "--g", "sin(c=1,w=1)", "--alpha", "0.5",
+     "--a", "0", "--x", "1"],
+], ids=["eval-sampled-overflow", "eval-power-coefficient-overflow", "leibniz-overflow"])
+def test_non_finite_result_is_a_domain_error(capsys, argv):
+    # no nan, inf or Infinity on stdout, and no RuntimeWarning (an error here)
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0",
      "--exponent-tol", "nan"],
     ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0",
@@ -449,8 +474,8 @@ def test_every_export_exists(module):
     if module == "fraclim.fracderiv":
         # one public derivative surface: a re-added alias must fail here
         assert set(mod.__all__) == {
-            "DerivResult", "QuadratureConfig", "boundary_terms", "caputo_derivative",
-            "caputo_from_nth", "caputo_power_coefficient", "derivative_many", "power_rule",
+            "DerivResult", "QuadratureConfig", "caputo_derivative", "caputo_from_chain",
+            "caputo_power_coefficient", "derivative_many", "power_rule",
             "rl_derivative", "singular_integral", "split_powers",
         }
 

@@ -28,9 +28,8 @@ from fraclim.fracderiv import (
     METHOD_QUAD,
     DerivResult,
     QuadratureConfig,
-    boundary_terms,
     caputo_derivative,
-    caputo_from_nth,
+    caputo_from_chain,
     caputo_power_coefficient,
     derivative_many,
     power_rule,
@@ -64,7 +63,17 @@ def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
     every term, where caputo_derivative would take the power terms centered at
     a by the power rule."""
     fn = derivative(f, order.n)
-    (value,), _ = caputo_from_nth(lambda zs: evaluate_many(fn, zs), order, a, (x,), cfg)
+    # only chain[n] is sampled when no boundary values are given
+    chain = [None] * order.n + [lambda zs: evaluate_many(fn, zs)]
+    ((value,),), _ = caputo_from_chain(chain, [order.alpha], a, (x,), cfg)
+    return float(value)
+
+
+def _boundary_sum(at_a, order, a, x):
+    """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
+    the RL part of caputo_from_chain, alone on the chain of the zero function."""
+    zero = [np.zeros_like] * (len(at_a) + 1)
+    ((value,),), _ = caputo_from_chain(zero, [order.alpha], a, (x,), at_a=at_a)
     return float(value)
 
 
@@ -290,15 +299,15 @@ def test_linearity_on_quadrature_route():
 
 
 def test_quadrature_fn_entry_point():
-    # caputo_from_nth takes a sampler of f^(n): cos is sin' for the order-1/2 case
-    (value,), (est,) = caputo_from_nth(np.cos, FracOrder(0.5), 0.0, [0.1],
-                                       QuadratureConfig(nodes=1024))
+    # caputo_from_chain takes samplers of f, f', ...: cos is sin' for the order-1/2 case
+    ((value,),), ((est,),) = caputo_from_chain([np.sin, np.cos], [0.5], 0.0, [0.1],
+                                               QuadratureConfig(nodes=1024))
     assert value == pytest.approx(CAPUTO_HALF_SIN_AT_01, abs=2e-9)
     assert 0.0 < est < 1e-8
     # at an integer order the value is the sample itself, exact, with estimate 0
-    values, ests = caputo_from_nth(np.cos, FracOrder(1.0), 0.0, [0.1, 0.7])
-    assert values.tolist() == np.cos([0.1, 0.7]).tolist()
-    assert ests.tolist() == [0.0, 0.0]
+    (values,), (ests,) = caputo_from_chain([np.sin, np.cos], [1.0], 0.0, [0.1, 0.7])
+    assert values == np.cos([0.1, 0.7]).tolist()
+    assert ests == [0.0, 0.0]
 
 
 def test_fractional_integral():
@@ -321,7 +330,7 @@ ONE_PLUS_X = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
 def test_bridge_matches_rl_closed():
     # Caputo by the power rule plus the boundary sum, against the RL power rule
     got = (caputo_derivative(ONE_PLUS_X, FracOrder(0.5), 0.0, 1.0).value
-           + boundary_terms([1.0], FracOrder(0.5), 0.0, 1.0))
+           + _boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0))
     want = rl_derivative(ONE_PLUS_X, FracOrder(0.5), 0.0, 1.0)
     assert want.method == METHOD_CLOSED and want.kind == KIND_RL
     assert got == pytest.approx(want.value, rel=1e-13)
@@ -334,18 +343,18 @@ def test_bridge_factorial_variant_breaks_the_power_rule():
     # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
     bad = cap + 1.0 / math.factorial(0)
     assert abs(bad - want) > 0.1
-    good = cap + boundary_terms([1.0], FracOrder(0.5), 0.0, 1.0)
+    good = cap + _boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0)
     assert good == pytest.approx(want, rel=1e-13)
 
 
 def test_bridge_quadrature_route():
-    (got,), _ = caputo_from_nth(np.exp, FracOrder(0.5), 0.0, [1.0],
-                                QuadratureConfig(nodes=4096), at_a=[1.0])
+    ((got,),), _ = caputo_from_chain([np.exp, np.exp], [0.5], 0.0, [1.0],
+                                     QuadratureConfig(nodes=4096), at_a=[1.0])
     assert got == pytest.approx(RL_HALF_EXP_AT_1, abs=5e-8)
 
 
 def test_bridge_collapses_at_integer_order():
-    (got,), _ = caputo_from_nth(np.exp, FracOrder(2.0), 0.0, [0.4], at_a=[1.0, 1.0])
+    ((got,),), _ = caputo_from_chain([np.exp] * 3, [2.0], 0.0, [0.4], at_a=[1.0, 1.0])
     assert got == pytest.approx(math.exp(0.4), rel=1e-13)
 
 
@@ -396,6 +405,32 @@ def test_derivative_many_equals_one_point_calls(kind, alpha):
         assert est_errors == [r.est_error for r in results]
 
 
+# x^0.5 + sin + exp: a power term and a rest, so every order takes both routes
+SQRT_SIN_EXP = parse_expr("pow(c=1,x0=0,beta=0.5) + sin(c=1,w=1) + exp(c=1,lam=1)")
+
+
+@pytest.mark.parametrize("kind,orders", [
+    (KIND_CAPUTO, [0.3, 1.0, 1.7, 2.5]),
+    (KIND_RL, [-1.5, -0.5, 0.0, 0.5, 2.0]),
+], ids=["caputo", "rl"])
+def test_derivative_many_orders_equal_one_order_calls(kind, orders):
+    pts = (0.3, 0.9, 1.6)
+    values, est_errors, methods = derivative_many(SQRT_SIN_EXP, orders, 0.0, pts, kind=kind)
+    one = [derivative_many(SQRT_SIN_EXP, order, 0.0, pts, kind=kind) for order in orders]
+    assert values == [v for v, _, _ in one]
+    assert est_errors == [e for _, e, _ in one]
+    assert methods == [m for _, _, m in one]
+
+
+@pytest.mark.parametrize("kind,orders", [
+    (KIND_CAPUTO, []), (KIND_RL, []), (KIND_CAPUTO, [0.5, 0.0]), (KIND_CAPUTO, [-0.5]),
+    (KIND_RL, [0.5, math.nan]), (KIND_RL, [math.inf]),
+])
+def test_derivative_many_rejects_bad_orders(kind, orders):
+    with pytest.raises(DomainError):
+        derivative_many(SQRT_SIN_EXP, orders, 0.0, (1.0,), kind=kind)
+
+
 def test_split_powers():
     assert split_powers(X2, 0.0) == ([(1.0, 2.0)], FuncExpr())
     assert split_powers(X2, 0.5) == ([], X2)  # off-center: the rest
@@ -434,7 +469,7 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         rl_derivative(SIN, 0.5, a, x)
     with pytest.raises(DomainError):
-        caputo_from_nth(np.cos, FracOrder(0.5), a, [x])
+        caputo_from_chain([np.sin, np.cos], [0.5], a, [x])
     with pytest.raises(DomainError):
         singular_integral(np.cos, 0.5, a, (x,))
 
@@ -487,7 +522,7 @@ def test_singular_integral_of_high_order():
 
 def test_scan_core_validation():
     with pytest.raises(DomainError):
-        caputo_from_nth(np.sin, FracOrder(2.0), 0.0, [0.3, -0.1], QuadratureConfig())
+        caputo_from_chain([np.sin] * 3, [2.0], 0.0, [0.3, -0.1], QuadratureConfig())
     with pytest.raises(DomainError):
         singular_integral(np.cos, 0.0, 0.0, [0.3], QuadratureConfig())
     with pytest.raises(DomainError):

@@ -46,6 +46,14 @@ def test_evaluate_fractional_power_domain():
         evaluate(g, 0.0)
 
 
+def test_evaluate_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows at x=1.0"):
+        evaluate(parse_expr("exp(c=1,lam=800)"), 1.0)  # math.exp raises
+    with pytest.raises(DomainError, match="overflows at x=10.0"):
+        evaluate(parse_expr("pow(c=1e308,x0=0,beta=3)"), 10.0)  # c * 1000 is inf
+    assert evaluate(parse_expr("exp(c=1,lam=700)"), 1.0) == math.exp(700.0)
+
+
 def test_evaluate_many_matches_scalar():
     f = parse_expr("pow(c=1,x0=0,beta=2) + sin(c=2,w=3) + exp(c=0.1,lam=1)")
     xs = np.linspace(0.0, 2.0, 17)

@@ -255,3 +255,16 @@ def test_oscillatory_integer_order_stays_finite_from_small_h0():
     rep = lfd_report(f, FracOrder(1.0), 0.0, ScanConfig(h0=0.1, count=20))
     assert rep.classification.kind == CLASS_FINITE
     assert rep.classification.limit == pytest.approx(6.0, abs=1e-6)
+
+
+def test_finite_limit_is_extrapolated_to_the_base_point():
+    # v = L + c (x - a) exactly: the last two usable samples give L, where
+    # their mean would be off by about c times the smallest offsets
+    samples = [LfdSample(h, 2.0 + 3.0 * h, 0.0, h, True) for h in (0.5, 0.25, 0.125, 0.0625)]
+    samples.append(LfdSample(0.01, 1.0, 5.0, 0.01, False))  # noise, not used
+    rep = lfd_classify(samples, FracOrder(1.0), exponent_tol=0.5)
+    assert rep.classification.kind == CLASS_FINITE
+    assert rep.classification.limit == 2.0
+    # two last samples that rounding put at one x: their value, not 0/0
+    rep = lfd_classify(samples[:4] + [samples[3]], FracOrder(1.0), exponent_tol=0.5)
+    assert rep.classification.limit == samples[3].value
