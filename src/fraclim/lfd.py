@@ -9,7 +9,10 @@ n-times differentiable function the theory says the values scale like
 
 so the limit is 0 for every non-integer alpha and f^(n)(a) at alpha = n;
 the report carries both the fitted and the theoretical scaling so the two
-can be compared.
+can be compared.  ``lfd_report_many`` scans one function at many orders at
+once: one ``derivative_many`` call over the scan points for all the orders,
+and one derivative chain f, f', ..., f^(max n) for their f^(n)(a);
+``lfd_report`` is its one-order case.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .fracderiv import (
     derivative_many,
     split_powers,
 )
-from .funcmodel import FuncExpr, derivative, evaluate
+from .funcmodel import FuncExpr, derivative_chain, evaluate
 from .specfun import as_order, rgamma
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "lfd_classify",
     "lfd_exact",
     "lfd_report",
+    "lfd_report_many",
     "lfd_scan",
 ]
 
@@ -50,7 +54,7 @@ CLASS_FINITE = "Finite"
 CLASS_DIVERGENT = "Divergent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanConfig:
     """Geometric scan x_k = a + h0 * ratio**k for k = 0..count-1.
 
@@ -72,7 +76,7 @@ class ScanConfig:
             raise DomainError(f"count must be a positive integer, got {self.count!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LfdSample:
     """One scan point.  ``usable`` is False when the quadrature error
     estimate exceeds the value itself (pure noise)."""
@@ -84,13 +88,13 @@ class LfdSample:
     usable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     kind: str  # Zero | Finite | Divergent
     limit: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LfdReport:
     samples: tuple
     fitted_exponent: float | None
@@ -131,6 +135,16 @@ def _base_point(a) -> float:
     return a
 
 
+def _scan(f: FuncExpr, alphas: list, a: float, cfg: ScanConfig) -> list:
+    """The samples of f at every order in ``alphas``, one list per order,
+    from one ``derivative_many`` call over the scan points."""
+    a = _base_point(a)
+    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
+    values, est_errors, _ = derivative_many(f, alphas, a, xs, cfg.quad)
+    return [[LfdSample(x, v, e, x - a, not e > abs(v)) for x, v, e in zip(xs, row, ests)]
+            for row, ests in zip(values, est_errors)]
+
+
 def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> list:
     """Sample the Caputo derivative along the geometric sequence: one
     ``derivative_many`` call over the whole scan, with the power terms of f
@@ -138,11 +152,7 @@ def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> li
     cfg.quad (exact at an integer order).  A sample's est_error is that
     quadrature's estimate, from the upper half of its Legendre coefficients,
     0 when f has no such term."""
-    a = _base_point(a)
-    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
-    values, est_errors, _ = derivative_many(f, alpha, a, xs, cfg.quad)
-    return [LfdSample(x, v, e, x - a, not e > abs(v))
-            for x, v, e in zip(xs, values, est_errors)]
+    return _scan(f, [alpha], a, cfg)[0]
 
 
 def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
@@ -220,16 +230,37 @@ def lfd_exact(f: FuncExpr, alpha, a: float) -> Classification:
     return Classification(CLASS_ZERO)
 
 
+def lfd_report_many(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(),
+                    exponent_tol: float = 0.05) -> list:
+    """One ``lfd_report`` per order in ``alphas``, in their order, from one
+    scan of f at all of them: one ``derivative_many`` call over the scan
+    points, then ``lfd_classify`` per order.  Each report's theory_prefactor
+    is f^(n)(a) / Gamma(n + 1 - alpha), from one derivative chain f, f', ...,
+    f^(max n) evaluated at a only for the n the orders take; it is None for
+    every n at which the chain leaves the function class, and for an n at
+    which f^(n) is singular at a or overflows.  A report equals the one-order
+    report of its order, bit for bit.  DomainError for an empty ``alphas`` or
+    an order that is not positive and finite."""
+    orders = [as_order(o) for o in alphas]
+    scans = _scan(f, [o.alpha for o in orders], a, cfg)
+    at_a = {}  # n -> f^(n)(a), None where it leaves the class or is not finite
+    chain = [f]
+    for n in sorted({o.n for o in orders}):
+        try:
+            chain = derivative_chain(chain, n)
+            at_a[n] = evaluate(chain[n], a)
+        except DomainError:
+            at_a[n] = None
+    reports = []
+    for o, samples in zip(orders, scans):
+        fn_a = at_a[o.n]
+        prefactor = None if fn_a is None else fn_a * rgamma(o.n + 1.0 - o.alpha)
+        reports.append(lfd_classify(samples, o, exponent_tol, prefactor))
+    return reports
+
+
 def lfd_report(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig(),
                exponent_tol: float = 0.05) -> LfdReport:
-    """Scan plus classification, with the theory-side fields filled in."""
-    alpha = as_order(alpha)
-    a = _base_point(a)
-    samples = lfd_scan(f, alpha, a, cfg)
-    try:
-        theory_prefactor = (evaluate(derivative(f, alpha.n), a)
-                            * rgamma(alpha.n + 1.0 - alpha.alpha))
-    except DomainError:  # f^(n) leaves the function class or is singular at a
-        theory_prefactor = None
-    return lfd_classify(samples, alpha, exponent_tol=exponent_tol,
-                        theory_prefactor=theory_prefactor)
+    """Scan plus classification, with the theory-side fields filled in: the
+    one-order case of ``lfd_report_many``."""
+    return lfd_report_many(f, [alpha], a, cfg, exponent_tol)[0]

@@ -17,6 +17,9 @@ import fraclim
 from fraclim import schemas
 from fraclim.cli import main, max_threads, read_corpus
 from fraclim.exceptions import ExprParseError
+from fraclim.fracderiv import QuadratureConfig
+from fraclim.funcmodel import derivative, evaluate, format_expr
+from fraclim.lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus" / "smooth30.txt"
@@ -252,6 +255,52 @@ def test_verify_theorem_csv(capsys, tmp_path):
     assert rows[0][0] == "function"
     assert len(rows) == 5
     assert all(r[7] == "PASS" for r in rows[1:])
+
+
+def test_verify_theorem_rows_equal_one_report_per_order(capsys):
+    # one scan per corpus entry over all its orders gives the rows that one
+    # lfd_report per (entry, order) pair gives, every field of them
+    alphas = [0.25, 0.5, 0.75, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0]
+    code, out, err = run(capsys, [
+        "verify-theorem", "--corpus", str(CORPUS), "--alphas", ",".join(map(repr, alphas)),
+        "--count", "26", "--nodes", "1024", "--output", "json",
+    ])
+    assert code == 0, err
+    cfg = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=1024))
+    expected = []
+    for f, a in read_corpus(str(CORPUS)):
+        for alpha in alphas:
+            rep = lfd_report(f, alpha, a, cfg)
+            cls = rep.classification
+            if alpha == round(alpha):
+                target = evaluate(derivative(f, round(alpha)), a)
+                estimate = {CLASS_FINITE: cls.limit, CLASS_ZERO: 0.0}.get(cls.kind, math.nan)
+                ok = abs(estimate - target) <= 1e-6
+            else:
+                ok = cls.kind == CLASS_ZERO
+            expected.append({
+                "function": format_expr(f), "a": a, "alpha": alpha,
+                "classification": cls.kind, "limit": cls.limit,
+                "fitted_exponent": rep.fitted_exponent,
+                "theory_exponent": rep.theory_exponent,
+                "status": "PASS" if ok else "FAIL",
+            })
+    assert json.loads(out)["rows"] == expected
+
+
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+def test_verify_theorem_row_without_a_target_is_a_domain_error(capsys, tmp_path, output):
+    # f' = 0.5 x^-0.5 is singular at the base point: no f^(1)(a) to compare
+    # with, so the run stops with exit 3 (not 4) and prints no rows
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("sin(c=1,w=1) @ 0\npow(c=1,x0=0,beta=0.5) @ 0\n")
+    code, out, err = run(capsys, [
+        "verify-theorem", "--corpus", str(corpus), "--alphas", "0.5,1",
+        "--output", output,
+    ])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_verify_theorem_starts_no_threads():

@@ -5,6 +5,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
@@ -14,7 +16,7 @@ from fraclim.fracderiv import (
     caputo_derivative,
     rl_derivative,
 )
-from fraclim.funcmodel import parse_expr
+from fraclim.funcmodel import derivative, evaluate, parse_expr
 from fraclim.lfd import (
     CLASS_DIVERGENT,
     CLASS_FINITE,
@@ -24,9 +26,10 @@ from fraclim.lfd import (
     lfd_classify,
     lfd_exact,
     lfd_report,
+    lfd_report_many,
     lfd_scan,
 )
-from fraclim.specfun import FracOrder
+from fraclim.specfun import FracOrder, rgamma
 
 SIN = parse_expr("sin(c=1,w=1)")
 X2 = parse_expr("pow(c=1,x0=0,beta=2)")
@@ -268,3 +271,79 @@ def test_finite_limit_is_extrapolated_to_the_base_point():
     # two last samples that rounding put at one x: their value, not 0/0
     rep = lfd_classify(samples[:4] + [samples[3]], FracOrder(1.0), exponent_tol=0.5)
     assert rep.classification.limit == samples[3].value
+
+
+# --- many orders from one scan ---
+
+TINY_CFG = ScanConfig(h0=0.1, ratio=0.5, count=8, quad=QuadratureConfig(nodes=64))
+
+
+@st.composite
+def _scan_inputs(draw):
+    """(f, a): a sum of sin/cos/exp terms, an off-center polynomial and a
+    fractional power centered at a, each part possibly absent."""
+    a = draw(st.floats(-1.0, 1.0))
+    coef = st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 0.1)
+    terms = []
+    for name, c, w, phi in draw(st.lists(
+            st.tuples(st.sampled_from(("sin", "cos", "exp")), coef,
+                      st.floats(-3.0, 3.0).filter(lambda w: abs(w) >= 0.1),
+                      st.floats(0.0, 6.28)), max_size=3)):
+        terms.append(f"exp(c={c!r},lam={w!r})" if name == "exp"
+                     else f"{name}(c={c!r},w={w!r},phi={phi!r})")
+    if draw(st.booleans()):
+        x0 = a + draw(st.floats(-2.0, 2.0).filter(lambda d: abs(d) >= 0.1))
+        for k, c in enumerate(draw(st.lists(coef, min_size=1, max_size=5))):
+            terms.append(f"pow(c={c!r},x0={x0!r},beta={k})")
+    if draw(st.booleans()) or not terms:
+        beta = draw(st.floats(0.05, 3.95).filter(lambda b: b != round(b)))
+        terms.append(f"pow(c={draw(coef)!r},x0={a!r},beta={beta!r})")
+    return parse_expr(" + ".join(terms)), a
+
+
+# orders over the groups n = 1, 2, 3, integers and near-integers included
+_ORDER_LISTS = st.lists(
+    st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 3.0),
+              st.builds(lambda n, d: n + d, st.integers(1, 2), st.floats(-1e-3, 1e-3))),
+    min_size=1, max_size=6)
+
+
+@given(_scan_inputs(), _ORDER_LISTS)
+@settings(max_examples=60, deadline=None)
+def test_report_many_equals_one_report_per_order(inputs, alphas):
+    f, a = inputs
+    singles = [lfd_report(f, al, a, TINY_CFG) for al in alphas]
+    many = lfd_report_many(f, alphas, a, TINY_CFG)
+    assert len(many) == len(singles)
+    for al, m, s in zip(alphas, many, singles):
+        assert m == s and repr(m) == repr(s)  # every field, -0.0 apart from 0.0
+        # the theory side as f^(n)(a) / Gamma(n + 1 - alpha), taken on its own
+        order = FracOrder(al)
+        try:
+            expected = evaluate(derivative(f, order.n), a) * rgamma(order.n + 1.0 - al)
+        except DomainError:
+            expected = None
+        assert repr(m.theory_prefactor) == repr(expected)
+
+
+def test_report_many_prefactor_is_none_past_a_singular_derivative():
+    # f = x^1.5: f'(0) = 0, f'' = 0.75 x^-0.5 is singular at 0, f''' leaves the class
+    f = parse_expr("pow(c=1,x0=0,beta=1.5)")
+    reps = lfd_report_many(f, [0.5, 1.0, 1.5, 2.0, 2.5], 0.0, FAST_CFG)
+    assert [r.theory_prefactor for r in reps] == [0.0, 0.0, None, None, None]
+    assert [r.theory_exponent for r in reps] == [0.5, 0.0, 0.5, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("alphas", [[], [0.5, math.nan], [0.5, math.inf], [1.0, 0.0],
+                                    [-0.5]])
+def test_report_many_rejects_bad_order_lists(alphas):
+    with pytest.raises(DomainError):
+        lfd_report_many(SIN, alphas, 0.0, FAST_CFG)
+
+
+def test_report_many_needs_four_samples_like_report():
+    cfg = ScanConfig(h0=0.1, ratio=0.5, count=3)
+    with pytest.raises(InsufficientData):
+        lfd_report(SIN, 0.5, 0.0, cfg)
+    with pytest.raises(InsufficientData):
+        lfd_report_many(SIN, [0.5, 1.0], 0.0, cfg)
