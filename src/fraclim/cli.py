@@ -183,8 +183,7 @@ def cmd_lfd_scan(args) -> int:
     else:
         cls = report.classification
         print(f"# lfd-scan alpha={order.alpha!r} a={args.a!r} f={format_expr(f)}")
-        usable = sum(1 for s in report.samples if s.usable)
-        print(f"samples={len(report.samples)} usable={usable}")
+        print(f"samples={len(report.xs)} usable={sum(report.usable)}")
         print(f"fitted_exponent={_fmt(report.fitted_exponent)} "
               f"fitted_prefactor={_fmt(report.fitted_prefactor)}")
         print(f"theory_exponent={report.theory_exponent!r} "
@@ -205,9 +204,9 @@ def _write_plot_data(path, report):
     with fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["x", "value", "log_offset", "log_abs_value"])
-        for s in report.samples:
-            logv = repr(math.log(abs(s.value))) if s.value != 0.0 else ""
-            w.writerow([repr(s.x), repr(s.value), repr(math.log(s.offset)), logv])
+        for x, v, h in zip(report.xs, report.values, report.offsets):
+            logv = repr(math.log(abs(v))) if v != 0.0 else ""
+            w.writerow([repr(x), repr(v), repr(math.log(h)), logv])
 
 
 # ---------------------------------------------------------------------------

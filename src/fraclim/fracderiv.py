@@ -296,6 +296,13 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     Quadrature for Caputo and Bridge for RL.  DomainError when a value is
     not finite.
     """
+    rows = _derivative_rows(f, alpha, a, xs, cfg, kind)[:3]
+    return rows if isinstance(alpha, (list, tuple)) else tuple(r[0] for r in rows)
+
+
+def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
+    """``derivative_many`` with one row per order, one order or many, plus
+    the chain rest, rest', ... it derived (None for an empty rest)."""
     many = isinstance(alpha, (list, tuple))
     orders = [float(o) for o in (alpha if many else (alpha,))]
     if (not orders or not math.isfinite(sum(orders))
@@ -309,6 +316,7 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
         values = [[0.0] * len(xs) for _ in orders]
         est_errors = [[0.0] * len(xs) for _ in orders]
         methods = [METHOD_CLOSED] * len(orders)
+        chain = None
     else:
         chain = derivative_chain([rest], max(math.ceil(max(orders)), 0))
         at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
@@ -320,9 +328,7 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
         values = [[v + p for v, p in zip(row, power_rule(parts, o, a, xs, kind))]
                   for row, o in zip(values, orders)]
         _check_finite(values, a, xs)
-    if many:
-        return values, est_errors, methods
-    return values[0], est_errors[0], methods[0]
+    return values, est_errors, methods, chain
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,

@@ -10,9 +10,10 @@ n-times differentiable function the theory says the values scale like
 so the limit is 0 for every non-integer alpha and f^(n)(a) at alpha = n;
 the report carries both the fitted and the theoretical scaling so the two
 can be compared.  ``lfd_report_many`` scans one function at many orders at
-once: one ``derivative_many`` call over the scan points for all the orders,
-and one derivative chain f, f', ..., f^(max n) for their f^(n)(a);
-``lfd_report`` is its one-order case.
+once: one ``derivative_many`` call over the scan points, one least-squares
+pass (``lfd_classify``) over its rows, one order per row, and one derivative
+chain f, f', ..., f^(max n) for their f^(n)(a); ``lfd_report`` is its
+one-order case.  Reports keep the scan as rows of floats.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InsufficientData, UnsupportedFunction
-from .fracderiv import (
-    QuadratureConfig,
-    caputo_power_coefficient,
-    derivative_many,
-    split_powers,
-)
+from .fracderiv import QuadratureConfig, _derivative_rows, caputo_power_coefficient, split_powers
 from .funcmodel import FuncExpr, derivative_chain, evaluate
 from .specfun import as_order, rgamma
 
@@ -46,7 +42,6 @@ __all__ = [
     "lfd_exact",
     "lfd_report",
     "lfd_report_many",
-    "lfd_scan",
 ]
 
 CLASS_ZERO = "Zero"
@@ -96,25 +91,34 @@ class Classification:
 
 @dataclass(frozen=True, slots=True)
 class LfdReport:
-    samples: tuple
+    """A scan and its verdict.  The scan is kept as rows with one entry per
+    point: ``xs``, ``offsets`` x - a, ``values``, ``est_errors`` and
+    ``usable``; ``samples`` builds them into ``LfdSample``s when read."""
+
+    xs: tuple
+    offsets: tuple
+    values: tuple
+    est_errors: tuple
+    usable: tuple
     fitted_exponent: float | None
     fitted_prefactor: float | None
     classification: Classification
     theory_exponent: float
     theory_prefactor: float | None
 
+    @property
+    def samples(self) -> tuple:
+        return tuple(map(LfdSample, self.xs, self.values, self.est_errors, self.offsets,
+                         self.usable))
+
     def to_json_dict(self) -> dict:
         return {
-            "samples": [
-                {"x": s.x, "value": s.value, "est_error": s.est_error}
-                for s in self.samples
-            ],
+            "samples": [{"x": x, "value": v, "est_error": e}
+                        for x, v, e in zip(self.xs, self.values, self.est_errors)],
             "fitted_exponent": self.fitted_exponent,
             "fitted_prefactor": self.fitted_prefactor,
-            "classification": {
-                "kind": self.classification.kind,
-                "limit": self.classification.limit,
-            },
+            "classification": {"kind": self.classification.kind,
+                               "limit": self.classification.limit},
             "theory_exponent": self.theory_exponent,
             "theory_prefactor": self.theory_prefactor,
         }
@@ -123,8 +127,8 @@ class LfdReport:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "value", "est_error"])
-        for s in self.samples:
-            w.writerow([repr(s.x), repr(s.value), repr(s.est_error)])
+        for row in zip(self.xs, self.values, self.est_errors):
+            w.writerow(list(map(repr, row)))
         return buf.getvalue()
 
 
@@ -135,67 +139,66 @@ def _base_point(a) -> float:
     return a
 
 
-def _scan(f: FuncExpr, alphas: list, a: float, cfg: ScanConfig) -> list:
-    """The samples of f at every order in ``alphas``, one list per order,
-    from one ``derivative_many`` call over the scan points."""
-    a = _base_point(a)
-    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
-    values, est_errors, _ = derivative_many(f, alphas, a, xs, cfg.quad)
-    return [[LfdSample(x, v, e, x - a, not e > abs(v)) for x, v, e in zip(xs, row, ests)]
-            for row, ests in zip(values, est_errors)]
-
-
-def lfd_scan(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig()) -> list:
-    """Sample the Caputo derivative along the geometric sequence: one
-    ``derivative_many`` call over the whole scan, with the power terms of f
-    centered at a in closed form and every other term by quadrature with
-    cfg.quad (exact at an integer order).  A sample's est_error is that
-    quadrature's estimate, from the upper half of its Legendre coefficients,
-    0 when f has no such term."""
-    return _scan(f, [alpha], a, cfg)[0]
-
-
-def lfd_classify(samples, alpha, exponent_tol: float = 0.05,
-                 theory_prefactor: float | None = None) -> LfdReport:
-    """Fit the scaling law and classify the limit.
-
-    Only samples whose |value| clears the noise floor (10x the quadrature
-    error estimate) enter the log-log fit; if none do, the scan is flat zero
-    and the report says Zero with an undefined fitted exponent.  Fewer than
-    4 usable samples raise InsufficientData, and an ``exponent_tol`` that is
-    not finite and non-negative raises DomainError.
-    """
-    alpha = as_order(alpha)
+def _check_exponent_tol(exponent_tol):
     if not 0.0 <= exponent_tol < math.inf:
-        raise DomainError(
-            f"exponent_tol must be finite and non-negative, got {exponent_tol!r}"
-        )
-    samples = list(samples)
-    usable = [s for s in samples if s.usable]
-    if len(usable) < 4:
-        raise InsufficientData(
-            f"need at least 4 usable samples to classify, have {len(usable)}"
-        )
-    theory_exponent = alpha.n - alpha.alpha
-    fit = [s for s in usable if abs(s.value) > 10.0 * s.est_error]
-    if len(fit) < 2:
-        return LfdReport(tuple(samples), None, None, Classification(CLASS_ZERO),
-                         theory_exponent, theory_prefactor)
-    logx = np.log([s.offset for s in fit])
-    logv = np.log([abs(s.value) for s in fit])
-    slope, intercept = np.polyfit(logx, logv, 1)
-    prefactor = math.copysign(math.exp(intercept), fit[-1].value)
-    if slope > exponent_tol:
-        cls = Classification(CLASS_ZERO)
-    elif slope < -exponent_tol:
-        cls = Classification(CLASS_DIVERGENT)
-    else:
-        # v = L + c (x - a) near a: extrapolate the last two usable samples to
-        # x = a, unless rounding put them at the same x
-        (h1, v1), (h2, v2) = ((s.offset, s.value) for s in usable[-2:])
-        cls = Classification(CLASS_FINITE, (h1 * v2 - h2 * v1) / (h1 - h2) if h1 != h2 else v2)
-    return LfdReport(tuple(samples), float(slope), float(prefactor), cls,
-                     theory_exponent, theory_prefactor)
+        raise DomainError(f"exponent_tol must be finite and non-negative, got {exponent_tol!r}")
+
+
+def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float = 0.05,
+                 theory_prefactors=None) -> list:
+    """One ``LfdReport`` per order in ``alphas``, with the scaling law fitted
+    and the limit classified.  ``values`` and ``est_errors`` hold one row per
+    order and one entry per point of ``xs``; ``theory_prefactors`` (default
+    None) one entry per order.  A sample is usable unless its error estimate
+    exceeds |value|, and is fitted if |value| also clears 10x the estimate:
+    one closed-form least-squares pass fits log|value| on log(x - a) for all
+    the orders.  Fewer than 2 fitted samples make a flat Zero scan with no
+    fitted exponent.  Fewer than 4 usable samples at an order raise
+    InsufficientData, and an ``exponent_tol`` that is not finite and
+    non-negative raises DomainError."""
+    orders = [as_order(o) for o in alphas]
+    _check_exponent_tol(exponent_tol)
+    x = np.asarray(xs, dtype=np.float64)
+    xs, h = tuple(x.tolist()), x - a
+    v = np.array(values, dtype=np.float64).reshape(len(orders), h.size)
+    e = np.array(est_errors, dtype=np.float64).reshape(v.shape)
+    usable = ~(e > np.abs(v))
+    fit = usable & (np.abs(v) > 10.0 * e)
+    # per row, over its fit points: slope = S_xy / S_xx about the means
+    n_fit = np.maximum(fit.sum(axis=1, keepdims=True), 1)
+    logx = np.where(fit, np.log(h), 0.0)
+    logv = np.log(np.abs(v), out=np.zeros_like(v), where=fit)
+    x_mean, y_mean = logx.sum(axis=1, keepdims=True) / n_fit, logv.sum(axis=1) / n_fit[:, 0]
+    dx = np.where(fit, logx - x_mean, 0.0)
+    s_xx = (dx * dx).sum(axis=1)
+    slopes = np.divide((dx * (logv - y_mean[:, None])).sum(axis=1), s_xx,
+                       out=np.zeros_like(s_xx), where=s_xx > 0.0)
+    intercepts = y_mean - slopes * x_mean[:, 0]
+    offsets = tuple(h.tolist())
+    reports = []
+    for o, row, ests, use, fits, slope, intercept, theory in zip(
+            orders, v.tolist(), e.tolist(), usable.tolist(), fit.tolist(), slopes.tolist(),
+            intercepts.tolist(), theory_prefactors or [None] * len(orders)):
+        kept = [(hk, vk) for hk, vk, u in zip(offsets, row, use) if u]
+        if len(kept) < 4:
+            raise InsufficientData(f"need at least 4 usable samples to classify, have {len(kept)}")
+        fit_v = [vk for vk, f in zip(row, fits) if f]
+        if len(fit_v) < 2:
+            slope = prefactor = None
+        else:
+            prefactor = math.copysign(math.exp(intercept), fit_v[-1])
+        if slope is None or slope > exponent_tol:
+            cls = Classification(CLASS_ZERO)
+        elif slope < -exponent_tol:
+            cls = Classification(CLASS_DIVERGENT)
+        else:
+            # v = L + c (x - a) near a: extrapolate the last two usable samples
+            # to x = a, unless rounding put them at the same x
+            (h1, v1), (h2, v2) = kept[-2:]
+            cls = Classification(CLASS_FINITE, (h1 * v2 - h2 * v1) / (h1 - h2) if h1 != h2 else v2)
+        reports.append(LfdReport(xs, offsets, tuple(row), tuple(ests), tuple(use), slope,
+                                 prefactor, cls, o.n - o.alpha, theory))
+    return reports
 
 
 def lfd_exact(f: FuncExpr, alpha, a: float) -> Classification:
@@ -211,52 +214,45 @@ def lfd_exact(f: FuncExpr, alpha, a: float) -> Classification:
     parts, rest = split_powers(f, a)
     if not rest.is_zero():
         raise UnsupportedFunction(f"{rest!r} has no closed-form power rule about {a!r}")
-    finite_total = 0.0
-    any_finite = False
+    finite = None  # the sum of the constant terms' coefficients, once there is one
     for c, beta in parts:
-        coef = c * caputo_power_coefficient(beta, alpha)
-        if coef == 0.0:
-            continue
-        expo = beta - alpha.alpha
-        if expo > 0.0:
-            continue
-        if expo == 0.0:
-            any_finite = True
-            finite_total += coef
-        else:
+        coef, expo = c * caputo_power_coefficient(beta, alpha), beta - alpha.alpha
+        if coef != 0.0 and expo < 0.0:
             return Classification(CLASS_DIVERGENT)
-    if any_finite:
-        return Classification(CLASS_FINITE, finite_total)
-    return Classification(CLASS_ZERO)
+        if coef != 0.0 and expo == 0.0:
+            finite = coef if finite is None else finite + coef
+    return Classification(CLASS_ZERO) if finite is None else Classification(CLASS_FINITE, finite)
 
 
 def lfd_report_many(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(),
                     exponent_tol: float = 0.05) -> list:
     """One ``lfd_report`` per order in ``alphas``, in their order, from one
     scan of f at all of them: one ``derivative_many`` call over the scan
-    points, then ``lfd_classify`` per order.  Each report's theory_prefactor
-    is f^(n)(a) / Gamma(n + 1 - alpha), from one derivative chain f, f', ...,
-    f^(max n) evaluated at a only for the n the orders take; it is None for
-    every n at which the chain leaves the function class, and for an n at
-    which f^(n) is singular at a or overflows.  A report equals the one-order
-    report of its order, bit for bit.  DomainError for an empty ``alphas`` or
-    an order that is not positive and finite."""
+    points and one ``lfd_classify`` call over its rows.  Each report's
+    theory_prefactor is f^(n)(a) / Gamma(n + 1 - alpha), from one chain f,
+    f', ..., f^(max n), the scan's own when f has no power term centered at
+    a; it is None for every n past a chain step that leaves the function
+    class, and for an n whose f^(n)(a) is singular or overflows.  A report
+    equals the one-order report of its order, bit for bit.  DomainError,
+    before any scanning, for an ``exponent_tol`` that is not finite and
+    non-negative; also for an empty ``alphas`` or a bad order."""
+    _check_exponent_tol(exponent_tol)
     orders = [as_order(o) for o in alphas]
-    scans = _scan(f, [o.alpha for o in orders], a, cfg)
+    a = _base_point(a)
+    xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
+    values, est_errors, _, rest_chain = _derivative_rows(f, [o.alpha for o in orders], a, xs,
+                                                          cfg.quad)
     at_a = {}  # n -> f^(n)(a), None where it leaves the class or is not finite
-    chain = [f]
+    chain = rest_chain if rest_chain is not None and rest_chain[0] == f else [f]
     for n in sorted({o.n for o in orders}):
         try:
             chain = derivative_chain(chain, n)
             at_a[n] = evaluate(chain[n], a)
         except DomainError:
             at_a[n] = None
-    reports = []
-    for o, samples in zip(orders, scans):
-        fn_a = at_a[o.n]
-        prefactor = None if fn_a is None else fn_a * rgamma(o.n + 1.0 - o.alpha)
-        reports.append(lfd_classify(samples, o, exponent_tol, prefactor))
-    return reports
+    prefactors = [None if at_a[o.n] is None else at_a[o.n] * rgamma(o.n + 1.0 - o.alpha)
+                  for o in orders]
+    return lfd_classify(xs, a, values, est_errors, orders, exponent_tol, prefactors)
 
 
 def lfd_report(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig(),

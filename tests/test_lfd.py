@@ -3,17 +3,24 @@
 import csv
 import io
 import math
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fraclim import funcmodel, lfd
+from fraclim.cli import read_corpus
 from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
     METHOD_BRIDGE,
     METHOD_QUAD,
     QuadratureConfig,
     caputo_derivative,
+    derivative_many,
     rl_derivative,
 )
 from fraclim.funcmodel import derivative, evaluate, parse_expr
@@ -21,13 +28,13 @@ from fraclim.lfd import (
     CLASS_DIVERGENT,
     CLASS_FINITE,
     CLASS_ZERO,
+    Classification,
     LfdSample,
     ScanConfig,
     lfd_classify,
     lfd_exact,
     lfd_report,
     lfd_report_many,
-    lfd_scan,
 )
 from fraclim.specfun import FracOrder, rgamma
 
@@ -37,20 +44,21 @@ FAST_CFG = ScanConfig(h0=0.1, ratio=0.5, count=16, quad=QuadratureConfig(nodes=5
 
 
 def test_scan_offsets_are_geometric():
-    samples = lfd_scan(X2, FracOrder(0.5), 0.0, ScanConfig(h0=0.2, ratio=0.5, count=6))
+    samples = lfd_report(X2, FracOrder(0.5), 0.0,
+                         ScanConfig(h0=0.2, ratio=0.5, count=6)).samples
     offsets = [s.offset for s in samples]
     assert offsets == pytest.approx([0.2 * 0.5**k for k in range(6)])
     assert all(s.x == pytest.approx(s.offset) for s in samples)
 
 
 def test_scan_closed_route_has_zero_est_error():
-    samples = lfd_scan(X2, FracOrder(0.5), 0.0, FAST_CFG)
+    samples = lfd_report(X2, FracOrder(0.5), 0.0, FAST_CFG).samples
     assert all(s.est_error == 0.0 for s in samples)
     assert all(s.usable for s in samples)
 
 
 def test_scan_integer_order_takes_the_exact_derivative():
-    samples = lfd_scan(SIN, FracOrder(1.0), 0.0, FAST_CFG)
+    samples = lfd_report(SIN, FracOrder(1.0), 0.0, FAST_CFG).samples
     assert [s.value for s in samples] == [math.cos(s.x) for s in samples]
     assert all(s.est_error == 0.0 for s in samples)
 
@@ -60,7 +68,7 @@ def test_scan_matches_pointwise_quadrature(nodes):
     f = parse_expr("cos(c=2,w=1.5,phi=0.3) + exp(c=1,lam=-0.8)")
     cfg = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=nodes))
     for alpha in (0.4, 2.6):
-        for s in lfd_scan(f, FracOrder(alpha), 0.5, cfg):
+        for s in lfd_report(f, FracOrder(alpha), 0.5, cfg).samples:
             one = caputo_derivative(f, FracOrder(alpha), 0.5, s.x, cfg.quad)
             assert one.method == METHOD_QUAD
             assert s.value == pytest.approx(one.value, rel=1e-13)
@@ -87,7 +95,7 @@ def test_non_finite_base_point_raises(a):
     with pytest.raises(DomainError):
         lfd_report(SIN, FracOrder(0.5), a, FAST_CFG)
     with pytest.raises(DomainError):
-        lfd_scan(X2, FracOrder(0.5), a, FAST_CFG)
+        lfd_report(X2, FracOrder(0.5), a, FAST_CFG)
     with pytest.raises(DomainError):
         lfd_exact(X2, FracOrder(0.5), a)
 
@@ -139,9 +147,9 @@ def test_negative_prefactor_keeps_sign():
 
 
 def test_insufficient_data_raises():
-    noise = [LfdSample(0.1, 1e-18, 1.0, 0.1, False) for _ in range(8)]
+    # 8 noise samples: each estimate exceeds its value
     with pytest.raises(InsufficientData):
-        lfd_classify(noise, FracOrder(0.5))
+        lfd_classify([0.1] * 8, 0.0, [[1e-18] * 8], [[1.0] * 8], [FracOrder(0.5)])
 
 
 def test_scan_config_validation():
@@ -156,7 +164,8 @@ def test_scan_config_validation():
 def test_scan_reaches_offset_1e_200():
     # the Gauss-Legendre nodes scale with x - a, so no grid degenerates: at
     # x - a <= 1e-8, D^0.5 sin = (x-a)^0.5 / Gamma(1.5) up to a relative (x-a)^2
-    samples = lfd_scan(SIN, FracOrder(0.5), 0.0, ScanConfig(h0=1e-8, ratio=0.1, count=193))
+    samples = lfd_report(SIN, FracOrder(0.5), 0.0,
+                         ScanConfig(h0=1e-8, ratio=0.1, count=193)).samples
     assert samples[-1].offset == pytest.approx(1e-200, rel=1e-12)
     for s in samples:
         assert s.value == pytest.approx(s.offset**0.5 / math.gamma(1.5), rel=1e-12)
@@ -168,9 +177,9 @@ def test_scan_point_rounding_onto_a_raises():
     cfg = ScanConfig(h0=1e-10, ratio=0.1, count=8)
     assert 1.0 + cfg.h0 * cfg.ratio ** (cfg.count - 1) == 1.0
     with pytest.raises(DomainError):
-        lfd_scan(SIN, FracOrder(0.5), 1.0, cfg)
+        lfd_report(SIN, FracOrder(0.5), 1.0, cfg)
     with pytest.raises(DomainError):
-        lfd_scan(SIN, FracOrder(1.0), 1.0, cfg)
+        lfd_report(SIN, FracOrder(1.0), 1.0, cfg)
     # and a point left of a
     with pytest.raises(DomainError):
         caputo_derivative(SIN, FracOrder(0.5), 0.0, -1.0)
@@ -232,20 +241,25 @@ def test_report_serialization_round_trip():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.01])
 def test_exponent_tol_must_be_finite_and_non_negative(tol):
     # a NaN band would call every scan Finite, a negative one a divergent scan Zero
-    samples = lfd_scan(SIN, FracOrder(0.5), 0.0, FAST_CFG)
-    rep = lfd_classify(samples, FracOrder(0.5), exponent_tol=0.0)
+    xs = [FAST_CFG.h0 * FAST_CFG.ratio**k for k in range(FAST_CFG.count)]
+    values, ests, _ = derivative_many(SIN, [0.5], 0.0, xs, FAST_CFG.quad)
+    rep, = lfd_classify(xs, 0.0, values, ests, [FracOrder(0.5)], exponent_tol=0.0)
     assert rep.classification.kind == CLASS_ZERO
     with pytest.raises(DomainError):
-        lfd_classify(samples, FracOrder(0.5), exponent_tol=tol)
+        lfd_classify(xs, 0.0, values, ests, [FracOrder(0.5)], exponent_tol=tol)
     with pytest.raises(DomainError):
         lfd_report(SIN, FracOrder(0.5), 0.0, FAST_CFG, exponent_tol=tol)
+    # checked before the scan: a scan that would itself fail reports the tolerance
+    rounding_cfg = ScanConfig(h0=1e-10, ratio=0.1, count=8)
+    with pytest.raises(DomainError, match="exponent_tol"):
+        lfd_report_many(SIN, [0.5, 1.0], 1.0, rounding_cfg, exponent_tol=tol)
 
 
 def test_est_error_is_at_rounding_at_both_caps():
-    coarse = lfd_scan(SIN, FracOrder(0.5), 0.0,
-                      ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=256)))
-    fine = lfd_scan(SIN, FracOrder(0.5), 0.0,
-                    ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=1024)))
+    coarse = lfd_report(SIN, FracOrder(0.5), 0.0,
+                        ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=256))).samples
+    fine = lfd_report(SIN, FracOrder(0.5), 0.0,
+                      ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=1024))).samples
     for c, f in zip(coarse, fine):
         assert 0.0 < c.est_error <= 1e-13 * abs(c.value)
         assert 0.0 < f.est_error <= 1e-13 * abs(f.value)
@@ -263,14 +277,89 @@ def test_oscillatory_integer_order_stays_finite_from_small_h0():
 def test_finite_limit_is_extrapolated_to_the_base_point():
     # v = L + c (x - a) exactly: the last two usable samples give L, where
     # their mean would be off by about c times the smallest offsets
-    samples = [LfdSample(h, 2.0 + 3.0 * h, 0.0, h, True) for h in (0.5, 0.25, 0.125, 0.0625)]
-    samples.append(LfdSample(0.01, 1.0, 5.0, 0.01, False))  # noise, not used
-    rep = lfd_classify(samples, FracOrder(1.0), exponent_tol=0.5)
+    xs = [0.5, 0.25, 0.125, 0.0625]
+    values = [2.0 + 3.0 * h for h in xs]
+    # and a noise sample, not used
+    rep, = lfd_classify(xs + [0.01], 0.0, [values + [1.0]], [[0.0] * 4 + [5.0]],
+                        [FracOrder(1.0)], exponent_tol=0.5)
+    assert rep.usable == (True,) * 4 + (False,)
     assert rep.classification.kind == CLASS_FINITE
     assert rep.classification.limit == 2.0
     # two last samples that rounding put at one x: their value, not 0/0
-    rep = lfd_classify(samples[:4] + [samples[3]], FracOrder(1.0), exponent_tol=0.5)
-    assert rep.classification.limit == samples[3].value
+    rep, = lfd_classify(xs + xs[3:], 0.0, [values + values[3:]], [[0.0] * 5],
+                        [FracOrder(1.0)], exponent_tol=0.5)
+    assert rep.classification.limit == values[3]
+
+
+def test_samples_view_reproduces_the_rows():
+    # sin(x) - x at 1/2 ~ -x^2.5: the smallest offsets sink into the
+    # quadrature noise, one below its estimate (unusable)
+    f = parse_expr("sin(c=1,w=1) + pow(c=-1,x0=0,beta=1)")
+    rep = lfd_report(f, FracOrder(0.5), 0.0, ScanConfig(h0=0.1, count=26))
+    assert not all(rep.usable)
+    assert [x - 0.0 for x in rep.xs] == list(rep.offsets)
+    assert rep.usable == tuple(not e > abs(v) for v, e in zip(rep.values, rep.est_errors))
+    samples = rep.samples
+    assert all(type(s) is LfdSample for s in samples)
+    assert [(s.x, s.value, s.est_error, s.offset, s.usable) for s in samples] == list(
+        zip(rep.xs, rep.values, rep.est_errors, rep.offsets, rep.usable))
+
+
+@st.composite
+def _fit_rows(draw):
+    """(offsets, values, est_errors, alphas): noisy power laws c h^p e^noise
+    on a geometric scan, one row per order, each estimate 0 or a fixed share
+    of |value| that makes the sample clean, noise (usable, not fitted) or
+    unusable."""
+    count = draw(st.integers(4, 26))
+    rows = draw(st.integers(1, 9))
+    h0, ratio = draw(st.floats(1e-3, 1.0)), draw(st.floats(0.25, 0.75))
+    offsets = h0 * ratio ** np.arange(count)
+    laws = draw(hnp.arrays(np.float64, (rows, 2), elements=st.floats(-3.0, 3.0)))
+    noise = draw(hnp.arrays(np.float64, (rows, count), elements=st.floats(-1.0, 1.0)))
+    signs = draw(hnp.arrays(np.float64, (rows, count), elements=st.sampled_from((1.0, -1.0))))
+    share = draw(hnp.arrays(np.float64, (rows, count),
+                            elements=st.sampled_from((0.0, 1e-14, 0.05, 0.5, 1.0, 2.0))))
+    values = signs * np.exp(3.0 * laws[:, :1] + laws[:, 1:] * np.log(offsets) + noise)
+    alphas = draw(st.lists(st.floats(0.01, 3.0), min_size=rows, max_size=rows))
+    return offsets, values, np.abs(values) * share, alphas
+
+
+@given(_fit_rows())
+@settings(max_examples=150, deadline=None)
+def test_classify_fit_matches_polyfit_per_row(rows):
+    offsets, values, ests, alphas = rows
+    tol = 0.05
+    usable = ~(ests > np.abs(values))
+    fit = usable & (np.abs(values) > 10.0 * ests)
+    short = [k for k, row in enumerate(usable) if row.sum() < 4]
+    if short:  # the first order without 4 usable samples raises
+        with pytest.raises(InsufficientData, match=f"have {usable[short[0]].sum()}$"):
+            lfd_classify(offsets, 0.0, values, ests, alphas, tol)
+        return
+    reports = lfd_classify(offsets, 0.0, values, ests, alphas, tol)
+    for rep, v, use, row_fit in zip(reports, values, usable, fit):
+        assert rep.usable == tuple(use.tolist())
+        if row_fit.sum() < 2:
+            assert rep.classification.kind == CLASS_ZERO
+            assert rep.fitted_exponent is rep.fitted_prefactor is None
+            continue
+        logx, logv = np.log(offsets[row_fit]), np.log(np.abs(v[row_fit]))
+        slope, intercept = np.polyfit(logx, logv, 1)
+        assert rep.fitted_exponent == pytest.approx(slope, rel=1e-13, abs=1e-13)
+        assert math.log(abs(rep.fitted_prefactor)) == pytest.approx(intercept, rel=1e-13,
+                                                                    abs=1e-13)
+        assert math.copysign(1.0, rep.fitted_prefactor) == math.copysign(1.0, v[row_fit][-1])
+        if abs(abs(slope) - tol) < 1e-9:
+            continue  # a last-bit difference may cross the band edge
+        if slope > tol:
+            assert rep.classification == Classification(CLASS_ZERO)
+        elif slope < -tol:
+            assert rep.classification == Classification(CLASS_DIVERGENT)
+        else:
+            (h1, v1), (h2, v2) = zip(offsets[use][-2:].tolist(), v[use][-2:].tolist())
+            limit = (h1 * v2 - h2 * v1) / (h1 - h2) if h1 != h2 else v2
+            assert rep.classification == Classification(CLASS_FINITE, limit)
 
 
 # --- many orders from one scan ---
@@ -347,3 +436,44 @@ def test_report_many_needs_four_samples_like_report():
         lfd_report(SIN, 0.5, 0.0, cfg)
     with pytest.raises(InsufficientData):
         lfd_report_many(SIN, [0.5, 1.0], 0.0, cfg)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "smooth30.txt"
+# the orders and scan of the benchmark's verify-theorem run
+VERIFY_ALPHAS = [0.25, 0.5, 0.75, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0]
+VERIFY_CFG = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=1024))
+
+
+def test_corpus_scan_makes_one_scan_and_one_fit_per_entry(monkeypatch):
+    # a per-order path (one fit or one sample object per order and point)
+    # fails here
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-order path taken")
+
+    monkeypatch.setattr(np, "polyfit", forbidden)
+    monkeypatch.setattr(LfdSample, "__init__", forbidden)
+    calls = Counter()
+    for name in ("_derivative_rows", "lfd_classify"):
+        def counted(*args, _fn=getattr(lfd, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lfd, name, counted)
+    for f, a in read_corpus(str(CORPUS)):
+        calls.clear()
+        assert len(lfd_report_many(f, VERIFY_ALPHAS, a, VERIFY_CFG)) == len(VERIFY_ALPHAS)
+        assert calls == {"_derivative_rows": 1, "lfd_classify": 1}
+
+
+@pytest.mark.parametrize("f, steps", [(SIN, 3), (parse_expr("pow(c=1,x0=0,beta=3.5)"), 3),
+                                      (parse_expr("pow(c=1,x0=0,beta=3.5) + sin(c=1,w=1)"), 6)])
+def test_scan_chain_serves_the_prefactors_when_f_is_all_rest(monkeypatch, f, steps):
+    # with no power term centered at a, the chain the scan derived for the
+    # rest is the chain of f up to f^(3) that the theory prefactors need
+    calls = []
+    monkeypatch.setattr(funcmodel, "derivative",
+                        lambda g, k, _fn=funcmodel.derivative: calls.append(k) or _fn(g, k))
+    reps = lfd_report_many(f, [0.5, 1.0, 2.5], 0.0, FAST_CFG)
+    assert len(calls) == steps
+    assert [r.theory_prefactor for r in reps] == [
+        evaluate(derivative(f, n), 0.0) * rgamma(n + 1.0 - al)
+        for n, al in ((1, 0.5), (1, 1.0), (3, 2.5))]
