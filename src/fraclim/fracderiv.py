@@ -8,10 +8,12 @@ derivatives ``caputo_from_chain`` takes through the singular integral
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
 ``singular_integral`` is the one quadrature core under it, product
-Gauss-Legendre integration for many points and orders at once, with an error
-estimate from the same samples; it is also the package's fractional
-integral.  The Riemann-Liouville operator is the Caputo one plus the RL power
-rule on the Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
+Gauss-Legendre integration for many integrands, points and orders at once,
+with an error estimate from the same samples; it is also the package's
+fractional integral.  One operator application is one call of it, with the
+f^(n) of every derivative count n its orders take as its integrands.  The
+Riemann-Liouville operator is the Caputo one plus the RL power rule on the
+Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
 
     RL^alpha f = Caputo^alpha f
                  + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha).
@@ -179,38 +181,66 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
     leading axis, one row per order.  Every Caputo quadrature and fractional
     integral in the package goes through here.
 
-    Rules double from 32 nodes up to min(cfg.nodes, 512), with one sampler
-    call per rule for all the points.  Each (order, point) integral keeps the
-    rule with its smallest estimate, and is done once that estimate is at
-    most 1e-13 of sum_j |M_j c_j| or stops shrinking (the rounding floor).
+    ``sampler`` may also be a list of samplers, one integrand each, with
+    ``order`` a list of order sequences, one per sampler: both results are
+    then lists of (orders x points) arrays, one per sampler.  The integrands
+    share the points, the rules, one moment call per rule and the kernel
+    scale of each distinct order, and the results equal one call per
+    sampler, bit for bit.
+
+    Rules double from 32 nodes up to min(cfg.nodes, 512).  Each rule calls
+    each sampler once for all the points, in their order, while one of its
+    integrals refines.  Each (sampler, order, point) integral keeps the rule
+    with its smallest estimate, and is done once that estimate is at most
+    1e-13 of sum_j |M_j c_j| or stops shrinking (the rounding floor).
     """
-    order = np.asarray(order, dtype=np.float64)
-    orders = np.atleast_1d(order)
-    if orders.ndim != 1 or orders.size == 0:
-        raise DomainError(f"need one integral order or a 1-d array of them, got {order!r}")
-    for o in orders.tolist():
+    many = not callable(sampler)
+    samplers, order_lists = (sampler, order) if many else ((sampler,), (order,))
+    if len(order_lists) != len(samplers):
+        raise DomainError(f"need one order list per sampler, got {order!r}")
+    orders, spans = [], []  # the orders of every sampler in turn; each sampler's rows
+    for o in order_lists:
+        o = np.asarray(o, dtype=np.float64)
+        if o.ndim > 1 or o.size == 0:
+            raise DomainError(f"need one integral order or a 1-d array of them, got {order!r}")
+        spans.append(slice(len(orders), len(orders) + o.size))
+        orders += o.reshape(-1).tolist()
+    for o in orders:
         if not o > 0.0:
             raise DomainError(f"integral order must be positive, got {o!r}")
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     _check_interval(a, xs.tolist())
     h = xs - a
-    mu = orders - 1.0
-    # one power call per order, as a Python float: NumPy takes sqrt or square
-    # for a scalar exponent 0.5 or 2, which can differ in the last bit from
-    # its pow over a broadcast array of exponents
-    scale = np.array([rgamma(o) * np.power(h, o) for o in orders.tolist()])
-    # per (order, point): the kept sum_j M_j c_j, its estimate, the last
-    # rule's estimate, and whether the integral is still refining
-    sums, best, last = np.full(scale.shape, np.nan), np.inf, np.inf
-    live = np.ones(scale.shape, dtype=bool)
+    mu = np.array(orders) - 1.0
+    # one power call per distinct order, as a Python float: NumPy takes sqrt
+    # or square for a scalar exponent 0.5 or 2, which can differ in the last
+    # bit from its pow over a broadcast array of exponents
+    powers = {}
+    for o in orders:
+        if o not in powers:
+            powers[o] = rgamma(o) * np.power(h, o)
+    scale = np.array([powers[o] for o in orders])
+    # per order (row) and (sampler, point) pair (column, one block of points
+    # per sampler): the kept sum_j M_j c_j, its estimate, the last rule's
+    # estimate, and whether the integral is still refining; only a sampler's
+    # own orders on its own points refine
+    blocks = [slice(s * xs.size, (s + 1) * xs.size) for s in range(len(samplers))]
+    live = np.zeros((len(orders), len(samplers) * xs.size), dtype=bool)
+    for rows, block in zip(spans, blocks):
+        live[rows, block] = True
+    sums, best, last = np.full(live.shape, np.nan), np.inf, np.inf
     m = min(_FIRST_NODES, cfg.nodes)
     while m <= min(cfg.nodes, _MAX_NODES) and live.any():
         u, b = legendre_rule(m)
-        g = np.asarray(sampler((xs[:, None] - h[:, None] * u).ravel()), dtype=np.float64)
+        zs = (xs[:, None] - h[:, None] * u).ravel()
+        g = np.zeros((len(samplers), zs.size))
+        for s, (sample, block) in enumerate(zip(samplers, blocks)):
+            if live[:, block].any():
+                g[s] = sample(zs)
         # einsum, not @: BLAS rounds a row differently by its place in the
         # block, and a point's value should not depend on the points beside it
-        c = np.einsum("ji,pi->pj", b, g.reshape(xs.size, m))
+        c = np.einsum("ji,pi->pj", b, g.reshape(-1, m))
         moments = legendre_moments(m, mu)
         abs_m, abs_c = np.abs(moments), np.abs(c)
         est = np.einsum("oj,pj->op", abs_m[:, m // 2:], abs_c[:, m // 2:])
@@ -220,10 +250,13 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
         live &= (est > _REL_TOL * np.einsum("oj,pj->op", abs_m, abs_c)) & (est < last)
         last = est
         m *= 2
-    values, est_errors = scale * sums, scale * best
-    if order.ndim == 0:
-        return values[0], est_errors[0]
-    return values, est_errors
+    values = [scale[rows] * sums[rows, block] for rows, block in zip(spans, blocks)]
+    est_errors = [scale[rows] * best[rows, block] for rows, block in zip(spans, blocks)]
+    if many:
+        return values, est_errors
+    if np.ndim(order) == 0:
+        return values[0][0], est_errors[0][0]
+    return values[0], est_errors[0]
 
 
 def caputo_from_chain(chain, orders, a: float, xs,
@@ -231,36 +264,45 @@ def caputo_from_chain(chain, orders, a: float, xs,
     """Caputo derivatives of g at every order in ``orders`` and x in ``xs``,
     as lists of rows of values and of estimates, one row per order;
     ``chain[k]`` maps a 1-d array of points z to g^(k)(z).  An order o takes
-    n = max(ceil(o), 0) derivatives: the orders that share an n are one
-    ``singular_integral`` call, of the orders n - o on chain[n], and o == n
-    is chain[n](xs), exact, with estimate 0.  Given ``at_a``, the g^(k)(a),
-    a row gains the RL power rule on the Taylor terms g^(k)(a)/k! (x - a)^k,
-    k < n, and is the RL derivative; a negative order is a fractional
-    integral.  DomainError when a value is not finite."""
+    n = max(ceil(o), 0) derivatives, and the integral of order n - o on
+    chain[n]: one ``singular_integral`` call integrates every non-integer
+    order, with the chain[n] in the order their n first appear.  o == n is
+    chain[n](xs), exact, with estimate 0.  Given ``at_a``, the g^(k)(a), a row
+    gains the RL power rule on the Taylor terms g^(k)(a)/k! (x - a)^k, k < n,
+    and is the RL derivative; a negative order is a fractional integral.
+    DomainError when a value is not finite."""
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     points = xs.tolist()
-    groups = {}  # n -> the indices of the orders that take n derivatives
+    groups = {}  # n -> the indices of the orders that take n derivatives, as
+    # (those with an integral, those with o == n)
     for i, o in enumerate(orders):
-        groups.setdefault(math.ceil(o) if o > 0.0 else 0, []).append(i)
+        n = math.ceil(o) if o > 0.0 else 0
+        groups.setdefault(n, ([], []))[o == n].append(i)
+    quad = {n: q for n, (q, _) in groups.items() if q}
+    first = next(iter(quad), None)
     values, est_errors = [None] * len(orders), [None] * len(orders)
-    for n, group in groups.items():
-        quad = [i for i in group if orders[i] != n]
-        if quad:
-            rows, ests = singular_integral(chain[n], [n - orders[i] for i in quad], a, xs, cfg)
-            for i, value, est in zip(quad, rows.tolist(), ests.tolist()):
-                values[i], est_errors[i] = value, est
-        if len(quad) < len(group):  # singular_integral checks the points of the others
-            _check_interval(a, points)
+    if first != next(iter(groups)):  # singular_integral checks the points otherwise
+        _check_interval(a, points)
+    # chain[n] is sampled in the order of the groups, with the integrals of
+    # every group at the first group that has one
+    for n, (_, exact) in groups.items():
+        if n == first:
+            rows, ests = singular_integral([chain[k] for k in quad],
+                                           [[k - orders[i] for i in q] for k, q in quad.items()],
+                                           a, xs, cfg)
+            for q, row, est in zip(quad.values(), rows, ests):
+                for i, value, e in zip(q, row.tolist(), est.tolist()):
+                    values[i], est_errors[i] = value, e
+        if exact:
             value = np.asarray(chain[n](xs), dtype=np.float64).tolist()
-            for i in group:
-                if orders[i] == n:
-                    values[i], est_errors[i] = value, [0.0] * xs.size
+            for i in exact:
+                values[i], est_errors[i] = value, [0.0] * xs.size
     if at_a is not None:
         taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
-        for n, group in groups.items():
+        for n, (integrals, exact) in groups.items():
             if n > 0:
-                for i in group:
+                for i in sorted(integrals + exact):
                     power = power_rule(taylor[:n], orders[i], a, points, KIND_RL)
                     values[i] = [v + p for v, p in zip(values[i], power)]
     _check_finite(values, a, points)

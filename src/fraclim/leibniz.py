@@ -11,8 +11,10 @@ infinite series
 
 whose k > alpha terms involve fractional *integrals* (negative-order RL
 operators).  The orders alpha - k of a factor are one ``derivative_many``
-call, each RL derivative the Caputo one plus the RL power rule on the Taylor
-terms f^(j)(a)/j! (x - a)^j.  The series terminates for polynomials and is
+call, with one quadrature call over all of them, each RL derivative the
+Caputo one plus the RL power rule on the Taylor terms f^(j)(a)/j! (x - a)^j;
+the chain of derivatives it takes also gives the factor's f^(k) when f has
+no power term centered at a.  The series terminates for polynomials and is
 truncated at K otherwise, with |term_K| reported as the residual.
 """
 
@@ -26,6 +28,7 @@ from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
     QuadratureConfig,
+    _derivative_rows,
     caputo_from_chain,
     derivative_many,
 )
@@ -271,11 +274,16 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     # b is zero exactly for the k past an integer alpha, so the k whose
     # terms live are 0 .. live - 1
     live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)
-    fs = derivative_chain([f], live - 1)
-    gs = derivative_chain([g], live - 1)
     orders = [alpha.alpha - k for k in range(live)]
-    df = [v for v, in derivative_many(f, orders, a, (x,), cfg, KIND_RL)[0]]
-    dg = [v for v, in derivative_many(g, orders, a, (x,), cfg, KIND_RL)[0]]
+    rows, chains = [], []
+    for h in (f, g):
+        values, _, _, chain = _derivative_rows(h, orders, a, (x,), cfg, KIND_RL)
+        rows.append([v for v, in values])
+        # with no power term centered at a, the chain derived for the rest of
+        # h is h's own, and goes on to the h^(k), k < live, of the terms
+        chains.append(derivative_chain(chain if chain is not None and chain[0] == h else [h],
+                                       live - 1))
+    (df, dg), (fs, gs) = rows, chains
     terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
              for k, b in enumerate(binomials[:live])]
     terms += [0.0] * (K + 1 - live)

@@ -196,6 +196,24 @@ def test_leibniz_rl_operator(capsys):
     assert doc["report"]["defect"][0] == pytest.approx(-0.5641895835477563, rel=1e-10)
 
 
+@pytest.mark.parametrize("argv", [
+    ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "0.5", "--a", "0",
+     "--x", "0.4", "1.2", "--rule", "defect"],
+    ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "1.5", "--a", "0",
+     "--x", "0.4", "1.2", "--rule", "series"],
+    ["lfd-scan", "--f", "sin(c=1,w=1) + pow(c=1,x0=0,beta=2)", "--alpha", "0.5", "--a", "0",
+     "--count", "8"],
+    ["eval", "--f", "sin(c=1,w=1) + pow(c=1,x0=0,beta=2)", "--alpha", "0.5", "--a", "0",
+     "--x", "0.4", "1.2"],
+], ids=["leibniz-defect", "leibniz-series", "lfd-scan", "eval"])
+def test_csv_prints_no_numpy_scalars(capsys, argv):
+    # the CSV writers print repr(value), which reads np.float64(...) for a
+    # NumPy scalar
+    code, out, _ = run(capsys, argv + ["--output", "csv"])
+    assert code == 0
+    assert "np." not in out
+
+
 # --- verify-theorem ---
 
 

@@ -423,6 +423,20 @@ def test_derivative_many_orders_equal_one_order_calls(kind, orders):
 
 
 @pytest.mark.parametrize("kind,orders", [
+    (KIND_CAPUTO, [0.3, 1.0, 1.7, 2.5]),
+    (KIND_RL, [-1.5, -0.5, 0.5, 2.0]),
+], ids=["caputo", "rl"])
+def test_derivative_many_makes_one_core_call(monkeypatch, kind, orders):
+    # the orders take 0 to 3 derivatives, and all their integrals are one call
+    calls = []
+    core = fraclim.fracderiv.singular_integral
+    monkeypatch.setattr(fraclim.fracderiv, "singular_integral",
+                        lambda *args, **kwargs: calls.append(args[1]) or core(*args, **kwargs))
+    derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 0.9, 1.6), kind=kind)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,orders", [
     (KIND_CAPUTO, []), (KIND_RL, []), (KIND_CAPUTO, [0.5, 0.0]), (KIND_CAPUTO, [-0.5]),
     (KIND_RL, [0.5, math.nan]), (KIND_RL, [math.inf]),
 ])
@@ -439,6 +453,16 @@ def test_split_powers():
     assert split_powers(parse_expr("pow(c=4,x0=9,beta=0)"), 0.0) == ([(4.0, 0.0)], FuncExpr())
     off = parse_expr("pow(c=3,x0=1,beta=0.5)")
     assert split_powers(X2 + SIN + off, 0.0) == ([(1.0, 2.0)], SIN + off)
+
+
+def test_deriv_results_hold_python_floats():
+    # the CSV writers print repr(value), which reads np.float64(...) for a
+    # NumPy scalar
+    for r in (caputo_derivative(SIN, 0.5, 0.0, 1.0), caputo_derivative(SIN, 1.0, 0.0, 1.0),
+              caputo_derivative(X2, 0.5, 0.0, 1.0), caputo_derivative(MIXED, 1.5, 0.0, 0.7),
+              rl_derivative(SIN, 0.5, 0.0, 1.0), rl_derivative(X2, -0.5, 0.0, 1.0)):
+        assert type(r.value) is float
+        assert r.est_error is None or type(r.est_error) is float
 
 
 def test_deriv_result_invariant():
@@ -529,6 +553,13 @@ def test_scan_core_validation():
         singular_integral(np.cos, [0.5, 0.0], 0.0, [0.3], QuadratureConfig())
     with pytest.raises(DomainError):
         singular_integral(np.cos, [], 0.0, [0.3], QuadratureConfig())
+    # a list of samplers takes one non-empty list of positive orders each
+    with pytest.raises(DomainError):
+        singular_integral([np.cos, np.sin], [[0.5]], 0.0, [0.3])
+    with pytest.raises(DomainError):
+        singular_integral([np.cos, np.sin], [[0.5], []], 0.0, [0.3])
+    with pytest.raises(DomainError):
+        singular_integral([np.cos, np.sin], [[0.5], [1.5, -0.5]], 0.0, [0.3])
 
 
 @pytest.mark.parametrize("as_list", [True, False])
@@ -558,3 +589,48 @@ def test_singular_integral_orders_equal_one_order_calls(nodes, as_list):
     # a list of one order keeps the leading axis
     values, _ = singular_integral(sampler, [0.3], 0.1, xs, cfg)
     assert values.shape == (1, 9)
+
+    # a list of samplers with ragged order lists, some orders shared and one
+    # given twice, equals one call per sampler, which samples as often
+    calls = {}
+
+    def named(name, g):
+        return lambda zs: calls.setdefault(name, []).append(len(zs)) or g(zs)
+
+    samplers = [named("cos", np.cos), named("poly", lambda zs: zs**3 - zs),
+                named("wave", lambda zs: np.sin(30.0 * zs) * np.exp(-zs))]
+    order_lists = [[0.3, 2.0, 1.7], [2.0], [0.5, 4.25, 0.3, 0.3]]
+    values, est = singular_integral(
+        samplers, order_lists if as_list else [np.array(o) for o in order_lists], 0.1, xs, cfg)
+    batched, calls = calls, {}
+    assert [v.shape for v in values] == [(3, 9), (1, 9), (4, 9)]
+    for sample, order, v, e in zip(samplers, order_lists, values, est):
+        one_values, one_est = singular_integral(sample, order, 0.1, xs, cfg)
+        assert np.array_equal(v, one_values)
+        assert np.array_equal(e, one_est)
+    assert calls == batched
+
+
+def test_singular_integral_refines_only_the_orders_a_sampler_was_given():
+    calls = {"flat": 0, "wave": 0}
+
+    # |z - 1|^1.5 has a kink in its second derivative, so its Legendre
+    # coefficients decay slowly
+    def flat(zs):
+        calls["flat"] += 1
+        return np.abs(zs - 1.0) ** 1.5
+
+    def wave(zs):
+        calls["wave"] += 1
+        return np.abs(zs - 1.0) ** 1.5
+
+    cfg = QuadratureConfig(nodes=4096)
+    # at order 2 the kernel u^1 has two non-zero moments, so "flat" is done at
+    # 32 nodes; "wave" at order 0.5 takes every rule up to 512 nodes, and so
+    # would "flat" at 0.5, which nobody reads
+    singular_integral(flat, [2.0], 0.0, [2.0], cfg)
+    singular_integral(wave, [0.5], 0.0, [2.0], cfg)
+    assert calls == {"flat": 1, "wave": 5}
+    calls.update(flat=0, wave=0)
+    singular_integral([flat, wave], [[2.0], [0.5]], 0.0, [2.0], cfg)
+    assert calls == {"flat": 1, "wave": 5}

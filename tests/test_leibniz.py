@@ -435,12 +435,13 @@ def test_series_samples_each_factor_once_for_its_integrals(work, alpha):
     exp2 = parse_expr("exp(c=1,lam=2)")  # unlike e^x, not its own derivative
     symmetrized_series(SIN, exp2, alpha, 0.0, 1.0, K=12)
     # f and g themselves are sampled only for their 12 - n + 1 integrals,
-    # once each; each of the n derivative terms samples f^(n-k) or g^(n-k)
+    # once each; each of the n derivative terms samples f^(n-k) or g^(n-k);
+    # all the integrals of a factor are one core call
     n = math.ceil(alpha)
     assert work["sampled"].count(SIN) == 1
     assert work["sampled"].count(exp2) == 1
     assert len(work["sampled"]) == 2 * (1 + n)
-    assert work["core"] == 2 * (1 + n)
+    assert work["core"] == 2
 
 
 def test_defect_core_calls_do_not_grow_with_points(work):
@@ -471,3 +472,23 @@ def test_products_derive_each_factor_once(monkeypatch):
     integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))
     # (fg)'' plus f', f'' and g', g'', whatever the number of points
     assert len(steps) == 6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.5])
+def test_series_derives_each_factor_once(monkeypatch, alpha):
+    steps = []
+    d1 = fraclim.funcmodel._d1
+    monkeypatch.setattr(fraclim.funcmodel, "_d1", lambda f: steps.append(f) or d1(f))
+    symmetrized_series(SIN, parse_expr("exp(c=1,lam=2)"), alpha, 0.0, 1.0, K=12)
+    # f^(k) and g^(k), k = 1..12, once each: the chains the integrals take up
+    # to ceil(alpha) go on to the f^(k)(x) of the terms
+    assert len(steps) == 24
+
+
+def test_results_hold_python_floats():
+    exp2 = parse_expr("exp(c=1,lam=2)")
+    for op in ("caputo", "rl"):
+        assert {type(d) for d in leibniz_defect(SIN, exp2, 0.5, 0.0, (0.3, 0.9), operator=op)
+                .defect} == {float}
+    assert type(symmetrized_series(SIN, exp2, 1.5, 0.0, 1.0).value) is float
+    assert type(series_leibniz_report(SIN, exp2, 1.5, 0.0, (0.7,)).defect[0]) is float

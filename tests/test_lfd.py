@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fraclim import funcmodel, lfd
+from fraclim import fracderiv, funcmodel, lfd
 from fraclim.cli import read_corpus
 from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
@@ -22,6 +22,7 @@ from fraclim.fracderiv import (
     caputo_derivative,
     derivative_many,
     rl_derivative,
+    split_powers,
 )
 from fraclim.funcmodel import derivative, evaluate, parse_expr
 from fraclim.lfd import (
@@ -445,23 +446,28 @@ VERIFY_CFG = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes
 
 
 def test_corpus_scan_makes_one_scan_and_one_fit_per_entry(monkeypatch):
-    # a per-order path (one fit or one sample object per order and point)
-    # fails here
+    # a per-order path (one fit, one sample object or one quadrature call
+    # per order and point) fails here
     def forbidden(*args, **kwargs):
         raise AssertionError("per-order path taken")
 
     monkeypatch.setattr(np, "polyfit", forbidden)
     monkeypatch.setattr(LfdSample, "__init__", forbidden)
-    calls = Counter()
-    for name in ("_derivative_rows", "lfd_classify"):
-        def counted(*args, _fn=getattr(lfd, name), _name=name, **kwargs):
+    calls, cores = Counter(), 0
+    for module, name in ((lfd, "_derivative_rows"), (lfd, "lfd_classify"),
+                         (fracderiv, "singular_integral")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(lfd, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for f, a in read_corpus(str(CORPUS)):
         calls.clear()
         assert len(lfd_report_many(f, VERIFY_ALPHAS, a, VERIFY_CFG)) == len(VERIFY_ALPHAS)
-        assert calls == {"_derivative_rows": 1, "lfd_classify": 1}
+        # one quadrature call over every order, unless f is all power terms
+        core = 0 if split_powers(f, a)[1].is_zero() else 1
+        assert calls == Counter(_derivative_rows=1, lfd_classify=1, singular_integral=core)
+        cores += core
+    assert cores == 18
 
 
 @pytest.mark.parametrize("f, steps", [(SIN, 3), (parse_expr("pow(c=1,x0=0,beta=3.5)"), 3),
