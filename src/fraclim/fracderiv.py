@@ -8,10 +8,12 @@ derivatives ``caputo_from_chain`` takes through the singular integral
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
 ``singular_integral`` is the one quadrature core under it, product
-Gauss-Legendre integration for many integrands, points and orders at once,
-with an error estimate from the same samples; it is also the package's
-fractional integral.  One operator application is one call of it, with the
-f^(n) of every derivative count n its orders take as its integrands.  The
+Gauss-Legendre integration with one integral per row: each row pairs an
+integrand with an order, over points all the rows share, with an error
+estimate from the same samples; it is also the package's fractional
+integral.  One operator application is one call of it, one row per order
+that takes an integral, on the f^(n) of that order's derivative count n.  The
+rows stay float64 arrays up to ``derivative_many`` and the reports.  The
 Riemann-Liouville operator is the Caputo one plus the RL power rule on the
 Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
 
@@ -89,9 +91,12 @@ class DerivResult:
 
 
 def _check_interval(a, xs):
-    """DomainError unless a and every x in ``xs`` are finite, with x > a."""
+    """DomainError unless ``xs``, a list or tuple, holds at least one point,
+    and a and every x in it are finite, with x > a."""
     if xs and math.isfinite(a + sum(xs)) and min(xs) > a:
         return
+    if not xs:
+        raise DomainError("need at least one evaluation point")
     for x in xs:
         if not (math.isfinite(a) and math.isfinite(x)):
             raise DomainError(f"a and x must be finite, got x={x!r}, a={a!r}")
@@ -166,45 +171,34 @@ _MAX_NODES = 512
 _REL_TOL = 1e-13
 
 
-def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = QuadratureConfig()):
-    """Riemann-Liouville integral of positive ``order`` at every x in ``xs``,
+def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = QuadratureConfig()):
+    """Riemann-Liouville integrals of positive order at every x in ``xs``,
+    one per row: row r integrates g = samplers[r] at order o = orders[r],
 
-        (1 / Gamma(order)) * integral_a^x (x - z)^(order - 1) g(z) dz
-            = h^order / Gamma(order) * integral_0^1 u^(order - 1) g(x - h u) du,
+        (1 / Gamma(o)) * integral_a^x (x - z)^(o - 1) g(z) dz
+            = h^o / Gamma(o) * integral_0^1 u^(o - 1) g(x - h u) du,
 
     h = x - a, by product Gauss-Legendre integration (``kernels``): the
     Legendre coefficients c_j of g from its samples at z = x - h u_i, against
-    the exact moments M_j of the kernel.  ``sampler`` maps a 1-d array of
-    points z to g(z).  Returns two arrays: the values and their estimates,
-    the part of sum_j M_j c_j from the upper half of the coefficients.
-    ``order`` may also be a 1-d sequence of orders: both arrays then gain a
-    leading axis, one row per order.  Every Caputo quadrature and fractional
-    integral in the package goes through here.
+    the exact moments M_j of the kernel.  A sampler maps a 1-d array of
+    points z to g(z).  Returns two (rows x points) arrays: the values and
+    their estimates, the part of sum_j M_j c_j from the upper half of the
+    coefficients.  Every Caputo quadrature and fractional integral in the
+    package goes through here.
 
-    ``sampler`` may also be a list of samplers, one integrand each, with
-    ``order`` a list of order sequences, one per sampler: both results are
-    then lists of (orders x points) arrays, one per sampler.  The integrands
-    share the points, the rules, one moment call per rule and the kernel
-    scale of each distinct order, and the results equal one call per
-    sampler, bit for bit.
-
-    Rules double from 32 nodes up to min(cfg.nodes, 512).  Each rule calls
-    each sampler once for all the points, in their order, while one of its
-    integrals refines.  Each (sampler, order, point) integral keeps the rule
-    with its smallest estimate, and is done once that estimate is at most
-    1e-13 of sum_j |M_j c_j| or stops shrinking (the rounding floor).
+    The rows share the points, the rules, one moment call per rule and the
+    kernel scale of each distinct order.  Rules double from 32 nodes up to
+    min(cfg.nodes, 512).  Each rule calls each distinct sampler object once
+    for all the points, in their order, while one of its rows refines, and a
+    row takes only its own sampler's coefficients, so it equals its one-row
+    call bit for bit.  Each (row, point) integral keeps the rule with its
+    smallest estimate, and is done once that estimate is at most 1e-13 of
+    sum_j |M_j c_j| or stops shrinking (the rounding floor).
     """
-    many = not callable(sampler)
-    samplers, order_lists = (sampler, order) if many else ((sampler,), (order,))
-    if len(order_lists) != len(samplers):
-        raise DomainError(f"need one order list per sampler, got {order!r}")
-    orders, spans = [], []  # the orders of every sampler in turn; each sampler's rows
-    for o in order_lists:
-        o = np.asarray(o, dtype=np.float64)
-        if o.ndim > 1 or o.size == 0:
-            raise DomainError(f"need one integral order or a 1-d array of them, got {order!r}")
-        spans.append(slice(len(orders), len(orders) + o.size))
-        orders += o.reshape(-1).tolist()
+    mu = np.asarray(orders, dtype=np.float64)
+    orders = mu.tolist()
+    if mu.ndim != 1 or not orders or len(orders) != len(samplers):
+        raise DomainError(f"need one order per sampler and at least one, got {orders!r}")
     for o in orders:
         if not o > 0.0:
             raise DomainError(f"integral order must be positive, got {o!r}")
@@ -212,7 +206,6 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     _check_interval(a, xs.tolist())
     h = xs - a
-    mu = np.array(orders) - 1.0
     # one power call per distinct order, as a Python float: NumPy takes sqrt
     # or square for a scalar exponent 0.5 or 2, which can differ in the last
     # bit from its pow over a broadcast array of exponents
@@ -221,102 +214,89 @@ def singular_integral(sampler, order, a: float, xs, cfg: QuadratureConfig = Quad
         if o not in powers:
             powers[o] = rgamma(o) * np.power(h, o)
     scale = np.array([powers[o] for o in orders])
-    # per order (row) and (sampler, point) pair (column, one block of points
-    # per sampler): the kept sum_j M_j c_j, its estimate, the last rule's
-    # estimate, and whether the integral is still refining; only a sampler's
-    # own orders on its own points refine
-    blocks = [slice(s * xs.size, (s + 1) * xs.size) for s in range(len(samplers))]
-    live = np.zeros((len(orders), len(samplers) * xs.size), dtype=bool)
-    for rows, block in zip(spans, blocks):
-        live[rows, block] = True
+    mu = mu - 1.0
+    index = {}  # each distinct sampler's place, in the order of its first row
+    which = [index.setdefault(id(s), len(index)) for s in samplers]
+    funcs = list({id(s): s for s in samplers}.values())
+    # each row takes its sampler's coefficients: a view unless rows share one
+    pick = slice(None) if len(funcs) == len(samplers) else np.array(which)
+    # per (row, point): the kept sum_j M_j c_j, its estimate, the last rule's
+    # estimate, and whether the integral is still refining
+    live = np.ones((len(orders), xs.size), dtype=bool)
     sums, best, last = np.full(live.shape, np.nan), np.inf, np.inf
     m = min(_FIRST_NODES, cfg.nodes)
     while m <= min(cfg.nodes, _MAX_NODES) and live.any():
         u, b = legendre_rule(m)
         zs = (xs[:, None] - h[:, None] * u).ravel()
-        g = np.zeros((len(samplers), zs.size))
-        for s, (sample, block) in enumerate(zip(samplers, blocks)):
-            if live[:, block].any():
-                g[s] = sample(zs)
-        # einsum, not @: BLAS rounds a row differently by its place in the
-        # block, and a point's value should not depend on the points beside it
-        c = np.einsum("ji,pi->pj", b, g.reshape(-1, m))
+        busy = {s for s, refining in zip(which, live.any(axis=1).tolist()) if refining}
+        # the Legendre coefficients of each sampler at each point, taken only
+        # for the samplers that are called (0 for the others); einsum, not @:
+        # BLAS rounds a row differently by its place in the block, and a
+        # point's value should not depend on the points beside it
+        c = np.zeros((len(funcs), xs.size, m))
+        for s, sample in enumerate(funcs):
+            if s in busy:
+                np.einsum("ji,pi->pj", b, np.reshape(sample(zs), (xs.size, m)), out=c[s])
+        c = c[pick]
         moments = legendre_moments(m, mu)
         abs_m, abs_c = np.abs(moments), np.abs(c)
-        est = np.einsum("oj,pj->op", abs_m[:, m // 2:], abs_c[:, m // 2:])
+        est = np.einsum("rj,rpj->rp", abs_m[:, m // 2:], abs_c[:, :, m // 2:])
         take = live & (est < best)
-        sums = np.where(take, np.einsum("oj,pj->op", moments, c), sums)
+        sums = np.where(take, np.einsum("rj,rpj->rp", moments, c), sums)
         best = np.where(take, est, best)
-        live &= (est > _REL_TOL * np.einsum("oj,pj->op", abs_m, abs_c)) & (est < last)
+        live &= (est > _REL_TOL * np.einsum("rj,rpj->rp", abs_m, abs_c)) & (est < last)
         last = est
         m *= 2
-    values = [scale[rows] * sums[rows, block] for rows, block in zip(spans, blocks)]
-    est_errors = [scale[rows] * best[rows, block] for rows, block in zip(spans, blocks)]
-    if many:
-        return values, est_errors
-    if np.ndim(order) == 0:
-        return values[0][0], est_errors[0][0]
-    return values[0], est_errors[0]
+    return scale * sums, scale * best
 
 
 def caputo_from_chain(chain, orders, a: float, xs,
                       cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
     """Caputo derivatives of g at every order in ``orders`` and x in ``xs``,
-    as lists of rows of values and of estimates, one row per order;
+    as two (orders x points) arrays, the values and their estimates;
     ``chain[k]`` maps a 1-d array of points z to g^(k)(z).  An order o takes
     n = max(ceil(o), 0) derivatives, and the integral of order n - o on
     chain[n]: one ``singular_integral`` call integrates every non-integer
-    order, with the chain[n] in the order their n first appear.  o == n is
-    chain[n](xs), exact, with estimate 0.  Given ``at_a``, the g^(k)(a), a row
-    gains the RL power rule on the Taylor terms g^(k)(a)/k! (x - a)^k, k < n,
-    and is the RL derivative; a negative order is a fractional integral.
-    DomainError when a value is not finite."""
+    order, one row each, with the rows of each n together in the order the n
+    first appear.  o == n is the row chain[n](xs), exact, with estimate 0.
+    Given ``at_a``, the g^(k)(a), a row gains the RL power rule on the Taylor
+    terms g^(k)(a)/k! (x - a)^k, k < n, and is the RL derivative; a negative
+    order is a fractional integral.  DomainError when a value is not finite."""
     a = float(a)
     xs = np.array(xs, dtype=np.float64).reshape(-1)
     points = xs.tolist()
-    groups = {}  # n -> the indices of the orders that take n derivatives, as
-    # (those with an integral, those with o == n)
-    for i, o in enumerate(orders):
-        n = math.ceil(o) if o > 0.0 else 0
-        groups.setdefault(n, ([], []))[o == n].append(i)
-    quad = {n: q for n, (q, _) in groups.items() if q}
-    first = next(iter(quad), None)
-    values, est_errors = [None] * len(orders), [None] * len(orders)
-    if first != next(iter(groups)):  # singular_integral checks the points otherwise
-        _check_interval(a, points)
+    _check_interval(a, points)
+    ns = [math.ceil(o) if o > 0.0 else 0 for o in orders]
+    groups = {}  # n -> the indices of the orders that take n derivatives
+    for i, n in enumerate(ns):
+        groups.setdefault(n, []).append(i)
+    quad = [i for rows in groups.values() for i in rows if orders[i] != ns[i]]
+    # the rows of the integrals: a slice, which copies faster, when they are all the rows
+    into = slice(None) if quad == list(range(len(orders))) else quad
+    values, est_errors = np.empty((len(orders), xs.size)), np.zeros((len(orders), xs.size))
     # chain[n] is sampled in the order of the groups, with the integrals of
     # every group at the first group that has one
-    for n, (_, exact) in groups.items():
-        if n == first:
-            rows, ests = singular_integral([chain[k] for k in quad],
-                                           [[k - orders[i] for i in q] for k, q in quad.items()],
-                                           a, xs, cfg)
-            for q, row, est in zip(quad.values(), rows, ests):
-                for i, value, e in zip(q, row.tolist(), est.tolist()):
-                    values[i], est_errors[i] = value, e
+    for n, rows in groups.items():
+        if quad and n == ns[quad[0]]:
+            values[into], est_errors[into] = singular_integral(
+                [chain[ns[i]] for i in quad], [ns[i] - orders[i] for i in quad], a, xs, cfg)
+        exact = [i for i in rows if orders[i] == n]
         if exact:
-            value = np.asarray(chain[n](xs), dtype=np.float64).tolist()
-            for i in exact:
-                values[i], est_errors[i] = value, [0.0] * xs.size
+            values[exact] = chain[n](xs)
     if at_a is not None:
         taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
-        for n, (integrals, exact) in groups.items():
-            if n > 0:
-                for i in sorted(integrals + exact):
-                    power = power_rule(taylor[:n], orders[i], a, points, KIND_RL)
-                    values[i] = [v + p for v, p in zip(values[i], power)]
+        for i in (i for rows in groups.values() for i in rows if ns[i] > 0):
+            values[i] += power_rule(taylor[:ns[i]], orders[i], a, points, KIND_RL)
     _check_finite(values, a, points)
     return values, est_errors
 
 
-def _check_finite(rows, a, xs):
-    """DomainError naming the first x where a row of ``rows`` is not finite."""
-    if math.isfinite(sum(map(sum, rows))):  # an inf or nan anywhere reaches the sum
-        return
-    for row in rows:
-        for x, v in zip(xs, row):
-            if not math.isfinite(v):
-                raise DomainError(f"the derivative is not finite at x={x!r}, a={a!r}")
+def _check_finite(values, a, xs):
+    """DomainError naming the first x where a row of ``values`` is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        _, col = np.argwhere(~finite)[0]
+        raise DomainError(f"the derivative is not finite at x={xs[col]!r}, a={a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +318,15 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     Quadrature for Caputo and Bridge for RL.  DomainError when a value is
     not finite.
     """
-    rows = _derivative_rows(f, alpha, a, xs, cfg, kind)[:3]
+    values, est_errors, methods, _ = _derivative_rows(f, alpha, a, xs, cfg, kind)
+    rows = values.tolist(), est_errors.tolist(), methods
     return rows if isinstance(alpha, (list, tuple)) else tuple(r[0] for r in rows)
 
 
 def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
-    """``derivative_many`` with one row per order, one order or many, plus
-    the chain rest, rest', ... it derived (None for an empty rest)."""
+    """``derivative_many`` with one row per order, one order or many, as
+    (orders x points) arrays of values and estimates, the methods, and the
+    chain rest, rest', ... it derived (None for an empty rest)."""
     many = isinstance(alpha, (list, tuple))
     orders = [float(o) for o in (alpha if many else (alpha,))]
     if (not orders or not math.isfinite(sum(orders))
@@ -355,8 +337,7 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     _check_interval(a, xs)
     parts, rest = split_powers(f, a)
     if rest.is_zero():
-        values = [[0.0] * len(xs) for _ in orders]
-        est_errors = [[0.0] * len(xs) for _ in orders]
+        values, est_errors = np.zeros((len(orders), len(xs))), np.zeros((len(orders), len(xs)))
         methods = [METHOD_CLOSED] * len(orders)
         chain = None
     else:
@@ -367,8 +348,7 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
         methods = ([METHOD_BRIDGE] * len(orders) if kind == KIND_RL else
                    [METHOD_CLOSED if o.is_integer() else METHOD_QUAD for o in orders])
     if parts:  # the rest's value first; with no power term it stands as it is
-        values = [[v + p for v, p in zip(row, power_rule(parts, o, a, xs, kind))]
-                  for row, o in zip(values, orders)]
+        values = values + [power_rule(parts, o, a, xs, kind) for o in orders]
         _check_finite(values, a, xs)
     return values, est_errors, methods, chain
 

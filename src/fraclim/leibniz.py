@@ -28,6 +28,7 @@ from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
     QuadratureConfig,
+    _check_interval,
     _derivative_rows,
     caputo_from_chain,
     derivative_many,
@@ -118,29 +119,24 @@ class SeriesResult:
 # operator dispatch helpers
 
 
-def _check_points(a, points):
-    """DomainError unless a and every point are finite, with each point > a."""
-    if not points:
-        raise DomainError("need at least one evaluation point")
-    if not all(math.isfinite(v) for v in (a, *points)):
-        raise DomainError(f"a and the evaluation points must be finite, got a={a!r}, "
-                          f"points={points!r}")
-    if any(not x > a for x in points):
-        raise DomainError(f"every evaluation point must lie right of a={a!r}, "
-                          f"got {points!r}")
+def _leibniz_sum(fvals, gvals, n):
+    """(fg)^(n) = sum_j C(n, j) f^(j) g^(n-j) from the values fvals[j] of
+    f^(j) and gvals[j] of g^(j), j <= n, arrays or floats, summed in order
+    of j (exact binomials)."""
+    total = 0.0
+    for j in range(n + 1):
+        total = total + math.comb(n, j) * fvals[j] * gvals[n - j]
+    return total
 
 
 def _product_nth_values(fs, gs, n):
     """Callable sampling (fg)^(n) via the integer Leibniz expansion of the
     symbolic factor derivatives fs[j] = f^(j) and gs[j] = g^(j), j <= n
-    (exact binomials, exact derivatives)."""
-    pairs = [(math.comb(n, j), fs[j], gs[n - j]) for j in range(n + 1)]
+    (exact derivatives)."""
 
     def values(zs):
-        total = 0.0
-        for cnj, fj, gnj in pairs:
-            total = total + cnj * evaluate_many(fj, zs) * evaluate_many(gnj, zs)
-        return total
+        return _leibniz_sum([evaluate_many(f, zs) for f in fs[:n + 1]],
+                            [evaluate_many(g, zs) for g in gs[:n + 1]], n)
 
     return values
 
@@ -155,8 +151,11 @@ def _d_product(f, g, alpha, a, pts, cfg, kind):
         fs = derivative_chain([f], alpha.n)
         gs = derivative_chain([g], alpha.n)
         chain = [_product_nth_values(fs, gs, k) for k in range(alpha.n + 1)]
-        at_a = None if kind == KIND_CAPUTO else [float(d([a])[0]) for d in chain[:-1]]
-        return caputo_from_chain(chain, [alpha.alpha], a, pts, cfg, at_a)[0][0]
+        at_a = None
+        if kind == KIND_RL:  # (fg)^(k)(a), k < n, from one sample of each f^(j), g^(j)
+            fa, ga = ([float(evaluate_many(d, [a])[0]) for d in ds[:-1]] for ds in (fs, gs))
+            at_a = [_leibniz_sum(fa, ga, k) for k in range(alpha.n)]
+        return caputo_from_chain(chain, [alpha.alpha], a, pts, cfg, at_a)[0][0].tolist()
     return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 
@@ -167,7 +166,7 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     alpha = as_order(alpha)
     a = float(a)
     x = float(x)
-    _check_points(a, (x,))
+    _check_interval(a, (x,))
     return _d_product(f, g, alpha, a, (x,), cfg, KIND_RL)[0]
 
 
@@ -189,7 +188,7 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     alpha = as_order(alpha)
     a = float(a)
     pts = tuple(float(p) for p in points)
-    _check_points(a, pts)
+    _check_interval(a, pts)
     dfg = _d_product(f, g, alpha, a, pts, cfg, kind)
     df = derivative_many(f, alpha, a, pts, cfg, kind)[0]
     dg = derivative_many(g, alpha, a, pts, cfg, kind)[0]
@@ -259,7 +258,7 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     alpha = as_order(alpha)
     a = float(a)
     x = float(x)
-    _check_points(a, (x,))
+    _check_interval(a, (x,))
     if K is None:
         degf = polynomial_degree(f)
         degg = polynomial_degree(g)
@@ -278,7 +277,7 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     rows, chains = [], []
     for h in (f, g):
         values, _, _, chain = _derivative_rows(h, orders, a, (x,), cfg, KIND_RL)
-        rows.append([v for v, in values])
+        rows.append(values[:, 0].tolist())
         # with no power term centered at a, the chain derived for the rest of
         # h is h's own, and goes on to the h^(k), k < live, of the terms
         chains.append(derivative_chain(chain if chain is not None and chain[0] == h else [h],
@@ -303,7 +302,7 @@ def series_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     alpha = as_order(alpha)
     a = float(a)
     pts = tuple(float(p) for p in points)
-    _check_points(a, pts)
+    _check_interval(a, pts)
     series = [symmetrized_series(f, g, alpha, a, x, K, cfg) for x in pts]
     refs = _d_product(f, g, alpha, a, pts, cfg, KIND_RL)
     defects = [ref - sr.value for ref, sr in zip(refs, series)]

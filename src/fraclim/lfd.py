@@ -160,8 +160,8 @@ def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float =
     _check_exponent_tol(exponent_tol)
     x = np.asarray(xs, dtype=np.float64)
     xs, h = tuple(x.tolist()), x - a
-    v = np.array(values, dtype=np.float64).reshape(len(orders), h.size)
-    e = np.array(est_errors, dtype=np.float64).reshape(v.shape)
+    v = np.asarray(values, dtype=np.float64).reshape(len(orders), h.size)
+    e = np.asarray(est_errors, dtype=np.float64).reshape(v.shape)
     usable = ~(e > np.abs(v))
     fit = usable & (np.abs(v) > 10.0 * e)
     # per row, over its fit points: slope = S_xy / S_xx about the means
@@ -175,18 +175,20 @@ def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float =
                        out=np.zeros_like(s_xx), where=s_xx > 0.0)
     intercepts = y_mean - slopes * x_mean[:, 0]
     offsets = tuple(h.tolist())
+    # per row: its usable samples, and the last of its fitted ones
+    n_usable = usable.sum(axis=1).tolist()
+    last_fit = (h.size - 1 - np.argmax(fit[:, ::-1], axis=1)).tolist()
     reports = []
-    for o, row, ests, use, fits, slope, intercept, theory in zip(
-            orders, v.tolist(), e.tolist(), usable.tolist(), fit.tolist(), slopes.tolist(),
-            intercepts.tolist(), theory_prefactors or [None] * len(orders)):
-        kept = [(hk, vk) for hk, vk, u in zip(offsets, row, use) if u]
-        if len(kept) < 4:
-            raise InsufficientData(f"need at least 4 usable samples to classify, have {len(kept)}")
-        fit_v = [vk for vk, f in zip(row, fits) if f]
-        if len(fit_v) < 2:
+    for o, row, ests, use, n_use, n_fitted, last, slope, intercept, theory in zip(
+            orders, v.tolist(), e.tolist(), usable.tolist(), n_usable, n_fit[:, 0].tolist(),
+            last_fit, slopes.tolist(), intercepts.tolist(),
+            theory_prefactors or [None] * len(orders)):
+        if n_use < 4:
+            raise InsufficientData(f"need at least 4 usable samples to classify, have {n_use}")
+        if n_fitted < 2:  # n_fit counts an empty row as 1
             slope = prefactor = None
         else:
-            prefactor = math.copysign(math.exp(intercept), fit_v[-1])
+            prefactor = math.copysign(math.exp(intercept), row[last])
         if slope is None or slope > exponent_tol:
             cls = Classification(CLASS_ZERO)
         elif slope < -exponent_tol:
@@ -194,7 +196,7 @@ def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float =
         else:
             # v = L + c (x - a) near a: extrapolate the last two usable samples
             # to x = a, unless rounding put them at the same x
-            (h1, v1), (h2, v2) = kept[-2:]
+            (h1, v1), (h2, v2) = [(hk, vk) for hk, vk, u in zip(offsets, row, use) if u][-2:]
             cls = Classification(CLASS_FINITE, (h1 * v2 - h2 * v1) / (h1 - h2) if h1 != h2 else v2)
         reports.append(LfdReport(xs, offsets, tuple(row), tuple(ests), tuple(use), slope,
                                  prefactor, cls, o.n - o.alpha, theory))

@@ -39,6 +39,7 @@ from fraclim.fracderiv import (
 )
 from fraclim.funcmodel import FuncExpr, PowerTerm, derivative, evaluate_many, parse_expr
 from fraclim.kernels import legendre_rule
+from fraclim.leibniz import leibniz_defect
 from fraclim.specfun import FracOrder
 
 # frozen references (dps=40)
@@ -306,19 +307,19 @@ def test_quadrature_fn_entry_point():
     assert 0.0 < est < 1e-8
     # at an integer order the value is the sample itself, exact, with estimate 0
     (values,), (ests,) = caputo_from_chain([np.sin, np.cos], [1.0], 0.0, [0.1, 0.7])
-    assert values == np.cos([0.1, 0.7]).tolist()
-    assert ests == [0.0, 0.0]
+    assert values.tolist() == np.cos([0.1, 0.7]).tolist()
+    assert ests.tolist() == [0.0, 0.0]
 
 
 def test_fractional_integral():
-    (val,), (est,) = singular_integral(lambda zs: zs, 0.5, 0.0, (1.0,))
+    ((val,),), ((est,),) = singular_integral([lambda zs: zs], [0.5], 0.0, (1.0,))
     assert est <= 1e-13 * val
     assert val == pytest.approx(INTEGRAL_HALF_X_AT_1, rel=1e-12)
     # order-1 integral of a linear function is exact for this rule
-    (val,), _ = singular_integral(lambda zs: zs, 1.0, 0.0, (2.0,))
+    ((val,),), _ = singular_integral([lambda zs: zs], [1.0], 0.0, (2.0,))
     assert val == pytest.approx(2.0, rel=1e-13)
     with pytest.raises(DomainError):
-        singular_integral(lambda zs: zs, -0.5, 0.0, (1.0,))
+        singular_integral([lambda zs: zs], [-0.5], 0.0, (1.0,))
 
 
 # --- bridge ---
@@ -495,7 +496,21 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         caputo_from_chain([np.sin, np.cos], [0.5], a, [x])
     with pytest.raises(DomainError):
-        singular_integral(np.cos, 0.5, a, (x,))
+        singular_integral([np.cos], [0.5], a, (x,))
+
+
+def test_empty_point_lists_raise():
+    for f in (SIN, X2):  # the quadrature route and the closed one
+        with pytest.raises(DomainError):
+            derivative_many(f, 0.5, 0.0, [])
+        with pytest.raises(DomainError):
+            derivative_many(f, [0.5, 1.5], 0.0, [], kind=KIND_RL)
+    with pytest.raises(DomainError):
+        caputo_from_chain([np.sin, np.cos], [0.5], 0.0, [])
+    with pytest.raises(DomainError):
+        singular_integral([np.cos], [0.5], 0.0, [])
+    with pytest.raises(DomainError):
+        leibniz_defect(SIN, EXP, 0.5, 0.0, [])
 
 
 # --- the multi-point core ---
@@ -510,7 +525,7 @@ def test_scan_core_samples_once_per_rule_at_x_minus_h_u():
 
     a = -0.3
     xs = np.linspace(-0.2, 2.0, 20)
-    values, _ = singular_integral(sampler, 0.5, a, xs, QuadratureConfig(nodes=4096))
+    (values,), _ = singular_integral([sampler], [0.5], a, xs, QuadratureConfig(nodes=4096))
     # one call per rule, 32, 64, ... nodes, over all the points: the short
     # integrals are done at 32 nodes, the long ones are not
     assert 2 <= len(seen) <= 5
@@ -519,15 +534,16 @@ def test_scan_core_samples_once_per_rule_at_x_minus_h_u():
         assert np.array_equal(zs, (xs[:, None] - (xs - a)[:, None] * u).ravel())
     # an integral done early keeps its value while the others refine
     for x, v in zip(xs, values):
-        (one,), _ = singular_integral(lambda zs: np.cos(25.0 * zs), 0.5, a, (x,),
-                                      QuadratureConfig(nodes=4096))
+        ((one,),), _ = singular_integral([lambda zs: np.cos(25.0 * zs)], [0.5], a, (x,),
+                                         QuadratureConfig(nodes=4096))
         assert v == one
 
 
 def test_singular_integral_imports_no_scipy():
     # the library is NumPy-only: the rule and its moments take no scipy shortcut
     code = ("import sys, numpy as np; from fraclim.fracderiv import singular_integral; "
-            "singular_integral(lambda z: np.cos(40.0 * z), [0.5, 2.5], 0.0, [0.3, 2.0]); "
+            "g = lambda z: np.cos(40.0 * z); "
+            "singular_integral([g, g], [0.5, 2.5], 0.0, [0.3, 2.0]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(fraclim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -539,7 +555,7 @@ def test_singular_integral_imports_no_scipy():
 
 def test_singular_integral_of_high_order():
     # the moments of u^119 are a product of ratios, with no power that overflows
-    (value,), (est,) = singular_integral(np.ones_like, 120.0, 0.25, [1.75])
+    ((value,),), ((est,),) = singular_integral([np.ones_like], [120.0], 0.25, [1.75])
     assert value == pytest.approx(float(mp.mpf(1.5) ** 120 / mp.gamma(121)), rel=1e-12)
     assert math.isfinite(est)
 
@@ -547,68 +563,56 @@ def test_singular_integral_of_high_order():
 def test_scan_core_validation():
     with pytest.raises(DomainError):
         caputo_from_chain([np.sin] * 3, [2.0], 0.0, [0.3, -0.1], QuadratureConfig())
+    # one positive order per sampler, and at least one row
     with pytest.raises(DomainError):
-        singular_integral(np.cos, 0.0, 0.0, [0.3], QuadratureConfig())
+        singular_integral([np.cos, np.sin], [0.5], 0.0, [0.3])
     with pytest.raises(DomainError):
-        singular_integral(np.cos, [0.5, 0.0], 0.0, [0.3], QuadratureConfig())
+        singular_integral([np.cos], [0.5, 1.5], 0.0, [0.3])
     with pytest.raises(DomainError):
-        singular_integral(np.cos, [], 0.0, [0.3], QuadratureConfig())
-    # a list of samplers takes one non-empty list of positive orders each
+        singular_integral([], [], 0.0, [0.3])
     with pytest.raises(DomainError):
-        singular_integral([np.cos, np.sin], [[0.5]], 0.0, [0.3])
+        singular_integral([np.cos], [0.0], 0.0, [0.3], QuadratureConfig())
     with pytest.raises(DomainError):
-        singular_integral([np.cos, np.sin], [[0.5], []], 0.0, [0.3])
-    with pytest.raises(DomainError):
-        singular_integral([np.cos, np.sin], [[0.5], [1.5, -0.5]], 0.0, [0.3])
+        singular_integral([np.cos, np.sin], [1.5, -0.5], 0.0, [0.3])
 
 
 @pytest.mark.parametrize("as_list", [True, False])
 @pytest.mark.parametrize("nodes", [64, 65, 4096])
 def test_singular_integral_orders_equal_one_order_calls(nodes, as_list):
-    calls = []
-
-    def sampler(zs):
-        calls.append(len(zs))
-        return np.cos(zs) + zs**2
-
-    cfg = QuadratureConfig(nodes=nodes)
-    # 0.5 and 2 among them: NumPy's scalar power takes sqrt and square there
-    orders = np.array([0.3, 0.5, 1.0, 1.7, 2.0, 4.25])
-    xs = np.linspace(0.4, 2.0, 9)
-    # a Python list of orders and of points takes the same route as arrays
-    values, est = singular_integral(sampler, orders.tolist() if as_list else orders, 0.1,
-                                    xs.tolist() if as_list else xs, cfg)
-    # the grids are sampled once for all the orders
-    batched_calls, calls[:] = list(calls), []
-    assert values.shape == (6, 9)
-    for i, order in enumerate(orders.tolist()):
-        one_values, one_est = singular_integral(sampler, order, 0.1, xs, cfg)
-        assert np.array_equal(values[i], one_values)
-        assert np.array_equal(est[i], one_est)
-    assert calls == batched_calls * len(orders)
-    # a list of one order keeps the leading axis
-    values, _ = singular_integral(sampler, [0.3], 0.1, xs, cfg)
-    assert values.shape == (1, 9)
-
-    # a list of samplers with ragged order lists, some orders shared and one
-    # given twice, equals one call per sampler, which samples as often
     calls = {}
 
     def named(name, g):
         return lambda zs: calls.setdefault(name, []).append(len(zs)) or g(zs)
 
-    samplers = [named("cos", np.cos), named("poly", lambda zs: zs**3 - zs),
-                named("wave", lambda zs: np.sin(30.0 * zs) * np.exp(-zs))]
-    order_lists = [[0.3, 2.0, 1.7], [2.0], [0.5, 4.25, 0.3, 0.3]]
-    values, est = singular_integral(
-        samplers, order_lists if as_list else [np.array(o) for o in order_lists], 0.1, xs, cfg)
+    cfg = QuadratureConfig(nodes=nodes)
+    xs = np.linspace(0.4, 2.0, 9)
+    cos, poly = named("cos", lambda zs: np.cos(zs) + zs**2), named("poly", lambda zs: zs**3 - zs)
+    wave = named("wave", lambda zs: np.sin(30.0 * zs) * np.exp(-zs))
+    # ragged rows per sampler, 0.3 and 2.0 shared between samplers, 0.3 given
+    # twice to one; 0.5 and 2 among them: NumPy's scalar power takes sqrt and
+    # square there
+    rows = [(cos, 0.3), (poly, 2.0), (wave, 0.5), (cos, 0.5), (cos, 1.0), (wave, 4.25),
+            (cos, 1.7), (wave, 0.3), (cos, 2.0), (wave, 0.3), (cos, 4.25)]
+    samplers, orders = [s for s, _ in rows], np.array([o for _, o in rows])
+    # a Python list of orders and of points takes the same route as arrays
+    values, est = singular_integral(samplers, orders.tolist() if as_list else orders, 0.1,
+                                    xs.tolist() if as_list else xs, cfg)
     batched, calls = calls, {}
-    assert [v.shape for v in values] == [(3, 9), (1, 9), (4, 9)]
-    for sample, order, v, e in zip(samplers, order_lists, values, est):
-        one_values, one_est = singular_integral(sample, order, 0.1, xs, cfg)
+    assert values.shape == est.shape == (11, 9)
+    for (sample, order), v, e in zip(rows, values, est):
+        (one_values,), (one_est,) = singular_integral([sample], [order], 0.1, xs, cfg)
         assert np.array_equal(v, one_values)
         assert np.array_equal(e, one_est)
-    assert calls == batched
+    # a sampler shared by several rows is called once per rule, for every
+    # rule its slowest row takes alone
+    calls.clear()
+    for name, sample in (("cos", cos), ("poly", poly), ("wave", wave)):
+        alone = []
+        for order in (o for s, o in rows if s is sample):
+            singular_integral([sample], [order], 0.1, xs, cfg)
+            alone.append(calls.pop(name))
+        assert batched[name] == max(alone, key=len)
+        assert len(set(batched[name])) == len(batched[name])
 
 
 def test_singular_integral_refines_only_the_orders_a_sampler_was_given():
@@ -628,9 +632,9 @@ def test_singular_integral_refines_only_the_orders_a_sampler_was_given():
     # at order 2 the kernel u^1 has two non-zero moments, so "flat" is done at
     # 32 nodes; "wave" at order 0.5 takes every rule up to 512 nodes, and so
     # would "flat" at 0.5, which nobody reads
-    singular_integral(flat, [2.0], 0.0, [2.0], cfg)
-    singular_integral(wave, [0.5], 0.0, [2.0], cfg)
+    singular_integral([flat], [2.0], 0.0, [2.0], cfg)
+    singular_integral([wave], [0.5], 0.0, [2.0], cfg)
     assert calls == {"flat": 1, "wave": 5}
     calls.update(flat=0, wave=0)
-    singular_integral([flat, wave], [[2.0], [0.5]], 0.0, [2.0], cfg)
+    singular_integral([flat, wave], [2.0, 0.5], 0.0, [2.0], cfg)
     assert calls == {"flat": 1, "wave": 5}

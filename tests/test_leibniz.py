@@ -378,8 +378,8 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
                     for c, beta in parts)
         if rest.is_zero():
             return power
-        (integral,), _ = singular_integral(lambda zs: evaluate_many(rest, zs), -order, a, (x,),
-                                           cfg)
+        ((integral,),), _ = singular_integral([lambda zs: evaluate_many(rest, zs)], [-order], a,
+                                              (x,), cfg)
         integral = float(integral)
         return integral + power if parts else integral
 
@@ -453,6 +453,23 @@ def test_defect_core_calls_do_not_grow_with_points(work):
     leibniz_defect(SIN, EXP, 0.5, 0.0, (0.9,))
     assert work["core"] == 6
     assert len(work["sampled"]) == three_points
+
+
+def test_rl_product_samples_each_factor_derivative_once_at_a(monkeypatch):
+    at_a = []
+
+    def counted(f, zs):
+        if len(zs) == 1:
+            at_a.append(f)
+        return evaluate_many(f, zs)
+
+    monkeypatch.setattr(fraclim.fracderiv, "evaluate_many", counted)
+    monkeypatch.setattr(fraclim.leibniz, "evaluate_many", counted)
+    leibniz_defect(SIN, EXP, 2.5, 0.0, (0.4, 1.1), operator="rl")
+    # the boundary values (fg)^(k)(a), k < 3, from one sample of each f^(j)
+    # and g^(j), j < 3: 2n one-point samples, not n(n+1)
+    assert len(at_a) == 6
+    assert set(map(repr, at_a)) == {repr(derivative(SIN, j)) for j in range(3)} | {repr(EXP)}
 
 
 def test_products_derive_each_factor_once(monkeypatch):
