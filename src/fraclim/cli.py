@@ -7,6 +7,12 @@ lfd-scan        geometric scan toward the base point + limit classification
 leibniz         product-rule defect / integer-sum / symmetrized-series report
 verify-theorem  run the limit dichotomy over a corpus file and an alpha grid
 
+Each subcommand parses its arguments, makes its library calls and prints
+their results; the decisions are the library's.  ``eval`` is one
+``derivative_many`` call over all its points, and ``verify-theorem`` one
+``lfd_verify`` call per corpus entry, which scans the entry at every order
+and decides its rows.
+
 Exit codes: 0 success, 2 parse error or a file that cannot be read or
 written, 3 domain error, 4 verification failure.
 """
@@ -22,8 +28,8 @@ import re
 import sys
 import warnings
 
-from .exceptions import DomainError, ExprParseError, FraclimError
-from .fracderiv import QuadratureConfig, caputo_derivative, rl_derivative
+from .exceptions import ExprParseError, FraclimError
+from .fracderiv import KIND_CAPUTO, KIND_RL, METHOD_QUAD, QuadratureConfig, derivative_many
 from .funcmodel import format_expr, parse_expr
 from .leibniz import (
     RULE_SYMMETRIZED,
@@ -31,7 +37,7 @@ from .leibniz import (
     leibniz_defect,
     series_leibniz_report,
 )
-from .lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report, lfd_report_many
+from .lfd import CLASS_FINITE, ScanConfig, lfd_report, lfd_verify
 from .specfun import FracOrder
 
 __all__ = ["build_parser", "console_main", "main", "max_threads", "read_corpus"]
@@ -97,9 +103,13 @@ def _print_csv(header, rows) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     sys.stdout.write(buf.getvalue())
+
+
+def _scan_config(args) -> ScanConfig:
+    return ScanConfig(h0=args.h0, ratio=args.ratio, count=args.count,
+                      quad=QuadratureConfig(nodes=args.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -109,46 +119,34 @@ def _print_csv(header, rows) -> None:
 def cmd_eval(args) -> int:
     f = parse_expr(args.f, field="--f")
     order = FracOrder(args.alpha)
-    cfg = QuadratureConfig(nodes=args.nodes)
-    results = []
-    for x in args.x:
-        if args.kind == "caputo":
-            results.append((x, caputo_derivative(f, order, args.a, x, cfg)))
-        else:
-            results.append((x, rl_derivative(f, order, args.a, x, cfg)))
+    kind = KIND_CAPUTO if args.kind == "caputo" else KIND_RL
+    values, est_errors, method = derivative_many(f, order, args.a, args.x,
+                                                 QuadratureConfig(nodes=args.nodes), kind)
+    if method != METHOD_QUAD:
+        est_errors = [None] * len(values)
+    results = list(zip(args.x, values, est_errors))
     if args.output == "json":
         doc = {
             "command": "eval",
             "function": format_expr(f),
             "alpha": order.alpha,
             "a": args.a,
-            "kind": results[0][1].kind,
+            "kind": kind,
             "results": [
-                {
-                    "x": x,
-                    "value": r.value,
-                    "kind": r.kind,
-                    "method": r.method,
-                    "est_error": r.est_error,
-                }
-                for x, r in results
+                {"x": x, "value": v, "kind": kind, "method": method, "est_error": e}
+                for x, v, e in results
             ],
         }
         _print_json(doc)
     elif args.output == "csv":
         _print_csv(
             ["x", "value", "kind", "method", "est_error"],
-            [
-                [repr(x), repr(r.value), r.kind, r.method, _fmt(r.est_error)]
-                for x, r in results
-            ],
+            [[repr(x), repr(v), kind, method, _fmt(e)] for x, v, e in results],
         )
     else:
-        print(f"# eval kind={results[0][1].kind} alpha={order.alpha!r} "
-              f"a={args.a!r} f={format_expr(f)}")
-        for x, r in results:
-            print(f"x={x!r} value={r.value!r} method={r.method} "
-                  f"est_error={_fmt(r.est_error)}")
+        print(f"# eval kind={kind} alpha={order.alpha!r} a={args.a!r} f={format_expr(f)}")
+        for x, v, e in results:
+            print(f"x={x!r} value={v!r} method={method} est_error={_fmt(e)}")
     return 0
 
 
@@ -159,13 +157,7 @@ def cmd_eval(args) -> int:
 def cmd_lfd_scan(args) -> int:
     f = parse_expr(args.f, field="--f")
     order = FracOrder(args.alpha)
-    cfg = ScanConfig(
-        h0=args.h0,
-        ratio=args.ratio,
-        count=args.count,
-        quad=QuadratureConfig(nodes=args.nodes),
-    )
-    report = lfd_report(f, order, args.a, cfg, exponent_tol=args.exponent_tol)
+    report = lfd_report(f, order, args.a, _scan_config(args), exponent_tol=args.exponent_tol)
     if args.plot_data:
         _write_plot_data(args.plot_data, report)
     if args.output == "json":
@@ -261,67 +253,35 @@ def cmd_leibniz(args) -> int:
 # verify-theorem
 
 
-def _theorem_rows(f, a, orders, scan_cfg, tol, exponent_tol):
-    """The rows of one corpus entry, one per order in ``orders``, from one
-    ``lfd_report_many`` scan over all of them."""
-    function = format_expr(f)
-    rows = []
-    for order, report in zip(orders, lfd_report_many(f, orders, a, scan_cfg, exponent_tol)):
-        cls = report.classification
-        if order.is_integer:
-            # theory_prefactor is f^(n)(a) / Gamma(1), exactly f^(n)(a)
-            target = report.theory_prefactor
-            if target is None:
-                raise DomainError(f"f^({order.n}) of {function} leaves the function "
-                                  f"class or is not finite at a={a!r}")
-            if cls.kind == CLASS_FINITE:
-                estimate = cls.limit
-            elif cls.kind == CLASS_ZERO:
-                estimate = 0.0
-            else:
-                estimate = math.nan
-            ok = math.isfinite(estimate) and abs(estimate - target) <= tol
-        else:
-            ok = cls.kind == CLASS_ZERO
-        rows.append({
-            "function": function,
-            "a": a,
-            "alpha": order.alpha,
-            "classification": cls.kind,
-            "limit": cls.limit,
-            "fitted_exponent": report.fitted_exponent,
-            "theory_exponent": report.theory_exponent,
-            "status": "PASS" if ok else "FAIL",
-        })
-    return rows
-
-
 def cmd_verify_theorem(args) -> int:
-    if not 0.0 <= args.tol < math.inf:
-        raise DomainError(f"--tol must be finite and non-negative, got {args.tol!r}")
     entries = read_corpus(args.corpus)
     if not entries:
         raise ExprParseError("corpus has no entries", field=args.corpus)
     alphas = [FracOrder(v) for v in _parse_alpha_list(args.alphas)]
-    scan_cfg = ScanConfig(
-        h0=args.h0,
-        ratio=args.ratio,
-        count=args.count,
-        quad=QuadratureConfig(nodes=args.nodes),
-    )
-    rows = [
-        row
-        for f, a in entries
-        for row in _theorem_rows(f, a, alphas, scan_cfg, args.tol, args.exponent_tol)
-    ]
-    passed = all(r["status"] == "PASS" for r in rows)
+    scan_cfg = _scan_config(args)
+    rows = []
+    for f, a in entries:
+        function = format_expr(f)
+        verdicts = lfd_verify(f, alphas, a, scan_cfg, args.tol, args.exponent_tol)
+        for order, (report, passed) in zip(alphas, verdicts):
+            rows.append({
+                "function": function,
+                "a": a,
+                "alpha": order.alpha,
+                "classification": report.classification.kind,
+                "limit": report.classification.limit,
+                "fitted_exponent": report.fitted_exponent,
+                "theory_exponent": report.theory_exponent,
+                "status": "PASS" if passed else "FAIL",
+            })
+    n_pass = sum(r["status"] == "PASS" for r in rows)
     if args.output == "json":
         _print_json(
             {
                 "command": "verify-theorem",
                 "alphas": [o.alpha for o in alphas],
                 "tol": args.tol,
-                "passed": passed,
+                "passed": n_pass == len(rows),
                 "rows": rows,
             }
         )
@@ -340,11 +300,9 @@ def cmd_verify_theorem(args) -> int:
         for r in rows:
             print(f"{r['status']}  alpha={r['alpha']:<6g} a={r['a']:<8g} "
                   f"{r['classification']:<9s} {r['function']}")
-        n_pass = sum(1 for r in rows if r["status"] == "PASS")
         print(f"# {n_pass}/{len(rows)} rows passed")
-    if not passed:
-        failing = [r for r in rows if r["status"] == "FAIL"]
-        print(f"verification failed for {len(failing)} of {len(rows)} rows",
+    if n_pass < len(rows):
+        print(f"verification failed for {len(rows) - n_pass} of {len(rows)} rows",
               file=sys.stderr)
         return 4
     return 0

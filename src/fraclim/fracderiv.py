@@ -326,7 +326,7 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
 def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     """``derivative_many`` with one row per order, one order or many, as
     (orders x points) arrays of values and estimates, the methods, and the
-    chain rest, rest', ... it derived (None for an empty rest)."""
+    chain f, f', ... it derived: the rest's if f is all rest, else [f]."""
     many = isinstance(alpha, (list, tuple))
     orders = [float(o) for o in (alpha if many else (alpha,))]
     if (not orders or not math.isfinite(sum(orders))
@@ -339,7 +339,7 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     if rest.is_zero():
         values, est_errors = np.zeros((len(orders), len(xs))), np.zeros((len(orders), len(xs)))
         methods = [METHOD_CLOSED] * len(orders)
-        chain = None
+        chain = [f]
     else:
         chain = derivative_chain([rest], max(math.ceil(max(orders)), 0))
         at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
@@ -350,7 +350,7 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     if parts:  # the rest's value first; with no power term it stands as it is
         values = values + [power_rule(parts, o, a, xs, kind) for o in orders]
         _check_finite(values, a, xs)
-    return values, est_errors, methods, chain
+    return values, est_errors, methods, [f] if parts else chain
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,

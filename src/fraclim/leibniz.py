@@ -14,7 +14,8 @@ operators).  The orders alpha - k of a factor are one ``derivative_many``
 call, with one quadrature call over all of them, each RL derivative the
 Caputo one plus the RL power rule on the Taylor terms f^(j)(a)/j! (x - a)^j;
 the chain of derivatives it takes also gives the factor's f^(k) when f has
-no power term centered at a.  The series terminates for polynomials and is
+no power term centered at a, for the series terms and for the (fg)^(k) of
+``leibniz_defect``.  The series terminates for polynomials and is
 truncated at K otherwise, with |term_K| reported as the residual.
 """
 
@@ -141,15 +142,16 @@ def _product_nth_values(fs, gs, n):
     return values
 
 
-def _d_product(f, g, alpha, a, pts, cfg, kind):
-    """D^alpha(fg) at every point of pts: a product of two polynomials is
+def _d_product(fs, gs, alpha, a, pts, cfg, kind):
+    """D^alpha(fg) at every point of pts, from the chains fs = [f, f', ...]
+    and gs = [g, g', ...] as far as derived: a product of two polynomials is
     multiplied out for derivative_many; any other is one caputo_from_chain
     call on the Leibniz-expanded chain (fg)^(k), each factor derived once."""
     try:
-        fg = poly_product(f, g)
+        fg = poly_product(fs[0], gs[0])
     except UnsupportedProduct:
-        fs = derivative_chain([f], alpha.n)
-        gs = derivative_chain([g], alpha.n)
+        fs = derivative_chain(fs, alpha.n)
+        gs = derivative_chain(gs, alpha.n)
         chain = [_product_nth_values(fs, gs, k) for k in range(alpha.n + 1)]
         at_a = None
         if kind == KIND_RL:  # (fg)^(k)(a), k < n, from one sample of each f^(j), g^(j)
@@ -167,7 +169,7 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     a = float(a)
     x = float(x)
     _check_interval(a, (x,))
-    return _d_product(f, g, alpha, a, (x,), cfg, KIND_RL)[0]
+    return _d_product([f], [g], alpha, a, (x,), cfg, KIND_RL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +191,11 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     a = float(a)
     pts = tuple(float(p) for p in points)
     _check_interval(a, pts)
-    dfg = _d_product(f, g, alpha, a, pts, cfg, kind)
-    df = derivative_many(f, alpha, a, pts, cfg, kind)[0]
-    dg = derivative_many(g, alpha, a, pts, cfg, kind)[0]
+    (df, _, _, fs), (dg, _, _, gs) = (_derivative_rows(h, [alpha.alpha], a, pts, cfg, kind)
+                                      for h in (f, g))
+    # the chains derived for D^alpha f and D^alpha g go on to D^alpha(fg)
+    dfg = _d_product(fs, gs, alpha, a, pts, cfg, kind)
+    df, dg = df[0].tolist(), dg[0].tolist()
     defects = [dfg[i] - df[i] * evaluate(g, x) - evaluate(f, x) * dg[i]
                for i, x in enumerate(pts)]
     return LeibnizReport(
@@ -278,10 +282,8 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     for h in (f, g):
         values, _, _, chain = _derivative_rows(h, orders, a, (x,), cfg, KIND_RL)
         rows.append(values[:, 0].tolist())
-        # with no power term centered at a, the chain derived for the rest of
-        # h is h's own, and goes on to the h^(k), k < live, of the terms
-        chains.append(derivative_chain(chain if chain is not None and chain[0] == h else [h],
-                                       live - 1))
+        # the chain the integrals took goes on to the h^(k), k < live, of the terms
+        chains.append(derivative_chain(chain, live - 1))
     (df, dg), (fs, gs) = rows, chains
     terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
              for k, b in enumerate(binomials[:live])]
@@ -304,7 +306,7 @@ def series_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     pts = tuple(float(p) for p in points)
     _check_interval(a, pts)
     series = [symmetrized_series(f, g, alpha, a, x, K, cfg) for x in pts]
-    refs = _d_product(f, g, alpha, a, pts, cfg, KIND_RL)
+    refs = _d_product([f], [g], alpha, a, pts, cfg, KIND_RL)
     defects = [ref - sr.value for ref, sr in zip(refs, series)]
     return LeibnizReport(
         alpha=alpha,

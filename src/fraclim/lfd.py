@@ -13,7 +13,9 @@ can be compared.  ``lfd_report_many`` scans one function at many orders at
 once: one ``derivative_many`` call over the scan points, one least-squares
 pass (``lfd_classify``) over its rows, one order per row, and one derivative
 chain f, f', ..., f^(max n) for their f^(n)(a); ``lfd_report`` is its
-one-order case.  Reports keep the scan as rows of floats.
+one-order case.  Reports keep the scan as rows of floats.  ``lfd_verify``
+checks the dichotomy on one such scan: it decides, order by order, whether
+the limit is the one the theory gives.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .exceptions import DomainError, InsufficientData, UnsupportedFunction
 from .fracderiv import QuadratureConfig, _derivative_rows, caputo_power_coefficient, split_powers
-from .funcmodel import FuncExpr, derivative_chain, evaluate
+from .funcmodel import FuncExpr, derivative_chain, evaluate, format_expr
 from .specfun import as_order, rgamma
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "lfd_exact",
     "lfd_report",
     "lfd_report_many",
+    "lfd_verify",
 ]
 
 CLASS_ZERO = "Zero"
@@ -139,9 +142,9 @@ def _base_point(a) -> float:
     return a
 
 
-def _check_exponent_tol(exponent_tol):
-    if not 0.0 <= exponent_tol < math.inf:
-        raise DomainError(f"exponent_tol must be finite and non-negative, got {exponent_tol!r}")
+def _check_tol(name, value):
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float = 0.05,
@@ -157,7 +160,7 @@ def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float =
     InsufficientData, and an ``exponent_tol`` that is not finite and
     non-negative raises DomainError."""
     orders = [as_order(o) for o in alphas]
-    _check_exponent_tol(exponent_tol)
+    _check_tol("exponent_tol", exponent_tol)
     x = np.asarray(xs, dtype=np.float64)
     xs, h = tuple(x.tolist()), x - a
     v = np.asarray(values, dtype=np.float64).reshape(len(orders), h.size)
@@ -238,14 +241,19 @@ def lfd_report_many(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(
     equals the one-order report of its order, bit for bit.  DomainError,
     before any scanning, for an ``exponent_tol`` that is not finite and
     non-negative; also for an empty ``alphas`` or a bad order."""
-    _check_exponent_tol(exponent_tol)
+    return _scan(f, alphas, a, cfg, exponent_tol)[1]
+
+
+def _scan(f, alphas, a, cfg, exponent_tol):
+    """``lfd_report_many`` with its orders and the f^(n)(a) it took:
+    (FracOrders, reports, {n: f^(n)(a), or None})."""
+    _check_tol("exponent_tol", exponent_tol)
     orders = [as_order(o) for o in alphas]
     a = _base_point(a)
     xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
-    values, est_errors, _, rest_chain = _derivative_rows(f, [o.alpha for o in orders], a, xs,
-                                                          cfg.quad)
+    values, est_errors, _, chain = _derivative_rows(f, [o.alpha for o in orders], a, xs,
+                                                     cfg.quad)
     at_a = {}  # n -> f^(n)(a), None where it leaves the class or is not finite
-    chain = rest_chain if rest_chain is not None and rest_chain[0] == f else [f]
     for n in sorted({o.n for o in orders}):
         try:
             chain = derivative_chain(chain, n)
@@ -254,7 +262,35 @@ def lfd_report_many(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(
             at_a[n] = None
     prefactors = [None if at_a[o.n] is None else at_a[o.n] * rgamma(o.n + 1.0 - o.alpha)
                   for o in orders]
-    return lfd_classify(xs, a, values, est_errors, orders, exponent_tol, prefactors)
+    return orders, lfd_classify(xs, a, values, est_errors, orders, exponent_tol,
+                                prefactors), at_a
+
+
+def lfd_verify(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(),
+               tol: float = 1e-6, exponent_tol: float = 0.05) -> list:
+    """The limit dichotomy at every order in ``alphas``: one (report, passed)
+    pair per order, in their order, from one ``lfd_report_many`` scan.  A
+    non-integer order passes when its limit classifies Zero; an integer
+    order n when its Zero (0.0) or Finite limit lies within ``tol`` of
+    f^(n)(a).  DomainError, before any scanning, for a ``tol`` that is not
+    finite and non-negative; after the scan, for an integer n whose f^(n)
+    leaves the function class or is not finite at a."""
+    _check_tol("tol", tol)
+    orders, reports, at_a = _scan(f, alphas, a, cfg, exponent_tol)
+    verdicts = []
+    for o, report in zip(orders, reports):
+        cls = report.classification
+        if o.is_integer:
+            target = at_a[o.n]
+            if target is None:
+                raise DomainError(f"f^({o.n}) of {format_expr(f)} leaves the function "
+                                  f"class or is not finite at a={float(a)!r}")
+            limit = {CLASS_FINITE: cls.limit, CLASS_ZERO: 0.0}.get(cls.kind, math.nan)
+            passed = abs(limit - target) <= tol
+        else:
+            passed = cls.kind == CLASS_ZERO
+        verdicts.append((report, passed))
+    return verdicts
 
 
 def lfd_report(f: FuncExpr, alpha, a: float, cfg: ScanConfig = ScanConfig(),

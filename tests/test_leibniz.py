@@ -485,6 +485,11 @@ def test_products_derive_each_factor_once(monkeypatch):
     # f^(k) and g^(k), k = 1..3, once each, for the sampler of (fg)^(3) and
     # the boundary values (fg)^(k)(a) alike
     assert len(steps) == 6
+    for op in ("caputo", "rl"):
+        steps.clear()
+        leibniz_defect(SIN, EXP, 2.5, 0.0, (0.4, 1.1), operator=op)
+        # the chains that D^alpha f and D^alpha g derive go on to D^alpha(fg)
+        assert len(steps) == 6
     steps.clear()
     integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))
     # (fg)'' plus f', f'' and g', g'', whatever the number of points

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fraclim import fracderiv, funcmodel, lfd
-from fraclim.cli import read_corpus
+from fraclim.cli import main, read_corpus
 from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
     METHOD_BRIDGE,
@@ -36,6 +37,7 @@ from fraclim.lfd import (
     lfd_exact,
     lfd_report,
     lfd_report_many,
+    lfd_verify,
 )
 from fraclim.specfun import FracOrder, rgamma
 
@@ -483,3 +485,64 @@ def test_scan_chain_serves_the_prefactors_when_f_is_all_rest(monkeypatch, f, ste
     assert [r.theory_prefactor for r in reps] == [
         evaluate(derivative(f, n), 0.0) * rgamma(n + 1.0 - al)
         for n, al in ((1, 0.5), (1, 1.0), (3, 2.5))]
+
+
+def test_verify_statuses_equal_the_cli_rows(capsys):
+    # verify-theorem on the benchmark argv prints lfd_verify's statuses, and
+    # lfd_verify's reports are lfd_report_many's
+    assert main(["verify-theorem", "--corpus", str(CORPUS),
+                 "--alphas", ",".join(map(repr, VERIFY_ALPHAS)),
+                 "--count", "26", "--nodes", "1024", "--output", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    verdicts = []
+    for f, a in read_corpus(str(CORPUS)):
+        pairs = lfd_verify(f, VERIFY_ALPHAS, a, VERIFY_CFG)
+        assert [report for report, _ in pairs] == lfd_report_many(f, VERIFY_ALPHAS, a,
+                                                                  VERIFY_CFG)
+        verdicts += pairs
+    assert [("PASS" if passed else "FAIL", report.classification.kind)
+            for report, passed in verdicts] == [(r["status"], r["classification"])
+                                                for r in rows]
+    assert all(type(passed) is bool for _, passed in verdicts)
+
+
+def test_verify_rule_by_order():
+    # near integer orders, both outcomes: Zero passes off an integer, and an
+    # integer order n passes when its limit (0.0 for Zero) is within tol of
+    # f^(n)(a); a Divergent limit never passes
+    alphas = [0.97, 1.0, 1.5, 1.97, 2.0]
+    seen = set()
+    for f, a in read_corpus(str(CORPUS))[:8]:
+        for tol in (0.0, 1e-6):
+            for al, (report, passed) in zip(alphas, lfd_verify(f, alphas, a, FAST_CFG, tol)):
+                cls = report.classification
+                if al != round(al):
+                    assert passed == (cls.kind == CLASS_ZERO)
+                else:
+                    target = evaluate(derivative(f, round(al)), a)
+                    limit = {CLASS_FINITE: cls.limit, CLASS_ZERO: 0.0}.get(cls.kind)
+                    assert passed == (limit is not None and abs(limit - target) <= tol)
+                seen.add((al == round(al), passed))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_verify_without_a_target_is_a_domain_error():
+    # f' = 0.5 x^-0.5 is singular at 0: no f^(1)(a) to compare the limit with
+    f = parse_expr("pow(c=1,x0=0,beta=0.5)")
+    with pytest.raises(DomainError) as exc:
+        lfd_verify(f, [1.0], 0.0, FAST_CFG)
+    assert str(exc.value) == ("f^(1) of pow(c=1.0,x0=0.0,beta=0.5) leaves the function "
+                              "class or is not finite at a=0.0")
+    # a non-integer order needs no target
+    [(report, passed)] = lfd_verify(f, [0.25], 0.0, FAST_CFG)
+    assert passed == (report.classification.kind == CLASS_ZERO)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+def test_verify_tol_must_be_finite_and_non_negative(tol, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(lfd, "_derivative_rows", no_scan)
+    with pytest.raises(DomainError, match="^tol must be finite and non-negative"):
+        lfd_verify(SIN, [0.5, 1.0], 0.0, FAST_CFG, tol)
