@@ -29,7 +29,14 @@ import sys
 import warnings
 
 from .exceptions import ExprParseError, FraclimError
-from .fracderiv import KIND_CAPUTO, KIND_RL, METHOD_QUAD, QuadratureConfig, derivative_many
+from .fracderiv import (
+    KIND_CAPUTO,
+    KIND_RL,
+    METHOD_QUAD,
+    METHOD_SPECIAL,
+    QuadratureConfig,
+    derivative_many,
+)
 from .funcmodel import format_expr, parse_expr
 from .leibniz import (
     RULE_SYMMETRIZED,
@@ -122,7 +129,7 @@ def cmd_eval(args) -> int:
     kind = KIND_CAPUTO if args.kind == "caputo" else KIND_RL
     values, est_errors, method = derivative_many(f, order, args.a, args.x,
                                                  QuadratureConfig(nodes=args.nodes), kind)
-    if method != METHOD_QUAD:
+    if method not in (METHOD_QUAD, METHOD_SPECIAL):
         est_errors = [None] * len(values)
     results = list(zip(args.x, values, est_errors))
     if args.output == "json":

@@ -2,8 +2,20 @@
 
 One route computes both, for many orders and points: ``derivative_many``.
 It splits f (``split_powers``) into the power terms centered at the base
-point, which take the exact power rule (``power_rule``), and a rest, whose
-derivatives ``caputo_from_chain`` takes through the singular integral
+point, which take the exact power rule (``power_rule``), and a rest.  A rest
+of sin, cos and exp terms is a sum of exponentials e^(lam x), whose Caputo
+derivative has the closed form
+
+    lam^n e^(lam a) h^(n - alpha) E_{1, n+1-alpha}(lam h)
+        = sum_{k>=n} f^(k)(a) h^(k - alpha) / Gamma(k + 1 - alpha),
+
+h = x - a, with E the Mittag-Leffler function.  Wherever rate * h <= 2,
+rate the largest |w| or |lam| of the rest, ``derivative_many`` sums that
+series over 26 terms, from the exact jets f^(k)(a) (``_series_rows``), with
+an estimate that bounds its rounding and its tail; the method is then
+SpecialFunction.  At every other point, and for a rest that holds a power
+term, ``caputo_from_chain`` takes the rest's derivatives through the
+singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
@@ -11,11 +23,11 @@ derivatives ``caputo_from_chain`` takes through the singular integral
 Gauss-Legendre integration with one integral per row: each row pairs an
 integrand with an order, over points all the rows share, with an error
 estimate from the same samples; it is also the package's fractional
-integral.  One operator application is one call of it, one row per order
-that takes an integral, on the f^(n) of that order's derivative count n.  The
-rows stay float64 arrays up to ``derivative_many`` and the reports.  The
-Riemann-Liouville operator is the Caputo one plus the RL power rule on the
-Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
+integral.  One operator application is at most one call of it, one row per
+order that takes an integral, on the f^(n) of that order's derivative count
+n.  The rows stay float64 arrays up to ``derivative_many`` and the reports.
+The Riemann-Liouville operator is the Caputo one plus the RL power rule on
+the Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
 
     RL^alpha f = Caputo^alpha f
                  + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha).
@@ -34,7 +46,15 @@ from functools import partial
 import numpy as np
 
 from .exceptions import DomainError
-from .funcmodel import FuncExpr, PowerTerm, derivative_chain, evaluate, evaluate_many
+from .funcmodel import (
+    ExpTerm,
+    FuncExpr,
+    PowerTerm,
+    SinTerm,
+    derivative_chain,
+    evaluate,
+    evaluate_many,
+)
 from .kernels import legendre_moments, legendre_rule
 from .specfun import FracOrder, as_order, gamma, rgamma
 
@@ -56,13 +76,15 @@ KIND_RL = "RiemannLiouville"
 METHOD_CLOSED = "ClosedForm"
 METHOD_QUAD = "Quadrature"
 METHOD_BRIDGE = "Bridge"
+METHOD_SPECIAL = "SpecialFunction"
+_ESTIMATED = (METHOD_QUAD, METHOD_SPECIAL)
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Resolution of the singular integral: ``nodes`` caps the Gauss-Legendre
     rules of ``singular_integral``, which double from 32 nodes up to
-    min(nodes, 512)."""
+    min(nodes, 512).  The series route takes no nodes."""
 
     nodes: int = 512
 
@@ -75,9 +97,9 @@ class QuadratureConfig:
 class DerivResult:
     """A single derivative evaluation.
 
-    ``est_error`` is present exactly when the method is Quadrature: the
-    estimate of ``singular_integral`` for the terms of f that went through
-    it, from the upper half of their Legendre coefficients.
+    ``est_error`` is present exactly when the method is Quadrature or
+    SpecialFunction: the estimate of ``singular_integral`` or of the series
+    for the terms of f that went through it.
     """
 
     value: float
@@ -86,8 +108,9 @@ class DerivResult:
     est_error: float | None = None
 
     def __post_init__(self):
-        if (self.est_error is not None) != (self.method == METHOD_QUAD):
-            raise ValueError("est_error must be present iff method is Quadrature")
+        if (self.est_error is not None) != (self.method in _ESTIMATED):
+            raise ValueError("est_error must be present iff method is Quadrature "
+                             "or SpecialFunction")
 
 
 def _check_interval(a, xs):
@@ -151,14 +174,15 @@ def power_rule(parts, order: float, a: float, xs, kind: str = KIND_CAPUTO) -> li
 def split_powers(f: FuncExpr, a: float):
     """(parts, rest) of f about a: ``parts`` is [(c, beta)] for the power
     terms centered at a and the constants, whatever their recorded center;
-    ``rest`` is the FuncExpr of every other term."""
+    ``rest`` is the FuncExpr of every other term, f itself when there is no
+    power part."""
     parts, rest = [], []
     for t in f.terms:
         if isinstance(t, PowerTerm) and (t.beta == 0.0 or t.x0 == a):
             parts.append((t.c, t.beta))
         else:
             rest.append(t)
-    return parts, FuncExpr(rest)
+    return parts, FuncExpr(rest) if parts else f
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +193,7 @@ def split_powers(f: FuncExpr, a: float):
 _FIRST_NODES = 32
 _MAX_NODES = 512
 _REL_TOL = 1e-13
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = QuadratureConfig()):
@@ -183,8 +208,10 @@ def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = Qu
     the exact moments M_j of the kernel.  A sampler maps a 1-d array of
     points z to g(z).  Returns two (rows x points) arrays: the values and
     their estimates, the part of sum_j M_j c_j from the upper half of the
-    coefficients.  Every Caputo quadrature and fractional integral in the
-    package goes through here.
+    coefficients, plus eps M_0 sum_j |c_j| of the first rule for the
+    rounding of the samples: M_0 = 1/o is the kernel's integral and
+    sum_j |c_j| bounds |g| on the interval.  Every Caputo quadrature and
+    fractional integral in the package goes through here.
 
     The rows share the points, the rules, one moment call per rule and the
     kernel scale of each distinct order.  Rules double from 32 nodes up to
@@ -224,7 +251,7 @@ def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = Qu
     # estimate, and whether the integral is still refining
     live = np.ones((len(orders), xs.size), dtype=bool)
     sums, best, last = np.full(live.shape, np.nan), np.inf, np.inf
-    m = min(_FIRST_NODES, cfg.nodes)
+    m = first = min(_FIRST_NODES, cfg.nodes)
     while m <= min(cfg.nodes, _MAX_NODES) and live.any():
         u, b = legendre_rule(m)
         zs = (xs[:, None] - h[:, None] * u).ravel()
@@ -241,13 +268,15 @@ def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = Qu
         moments = legendre_moments(m, mu)
         abs_m, abs_c = np.abs(moments), np.abs(c)
         est = np.einsum("rj,rpj->rp", abs_m[:, m // 2:], abs_c[:, :, m // 2:])
+        if m == first:  # eps M_0 sum_j |c_j|, at least eps M_0 max |g|
+            floor = abs_c.sum(axis=2) * (_EPS * abs_m[:, :1])
         take = live & (est < best)
         sums = np.where(take, np.einsum("rj,rpj->rp", moments, c), sums)
         best = np.where(take, est, best)
         live &= (est > _REL_TOL * np.einsum("rj,rpj->rp", abs_m, abs_c)) & (est < last)
         last = est
         m *= 2
-    return scale * sums, scale * best
+    return scale * sums, scale * (best + floor)
 
 
 def caputo_from_chain(chain, orders, a: float, xs,
@@ -284,11 +313,19 @@ def caputo_from_chain(chain, orders, a: float, xs,
         if exact:
             values[exact] = chain[n](xs)
     if at_a is not None:
-        taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
-        for i in (i for rows in groups.values() for i in rows if ns[i] > 0):
-            values[i] += power_rule(taylor[:ns[i]], orders[i], a, points, KIND_RL)
+        _add_taylor_terms(values, at_a, orders, ns, a, points)
     _check_finite(values, a, points)
     return values, est_errors
+
+
+def _add_taylor_terms(values, at_a, orders, ns, a, xs):
+    """RL minus Caputo: add to the row of each order, of n = ns[i]
+    derivatives, the RL power rule on the Taylor terms at_a[k]/k! (x - a)^k,
+    k < n, at every x in ``xs``."""
+    taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
+    for i, (n, o) in enumerate(zip(ns, orders)):
+        if n > 0:
+            values[i] += power_rule(taylor[:n], o, a, xs, KIND_RL)
 
 
 def _check_finite(values, a, xs):
@@ -297,6 +334,120 @@ def _check_finite(values, a, xs):
     if not finite.all():
         _, col = np.argwhere(~finite)[0]
         raise DomainError(f"the derivative is not finite at x={xs[col]!r}, a={a!r}")
+
+
+# ---------------------------------------------------------------------------
+# the Taylor series of a smooth rest
+
+# A rest of sin, cos and exp terms takes its Taylor series about a at every
+# point with rate * (x - a) <= _SERIES_REACH, rate the largest |w| or |lam| of
+# its terms, over _SERIES_TERMS terms: the smallest K with 2^K / K! < 2^-60.
+_SERIES_REACH = 2.0
+_SERIES_TERMS = 26
+
+
+def _rate(rest):
+    """The largest |w| or |lam| of a rest of sin, cos and exp terms; None
+    when it holds a power term."""
+    if any(isinstance(t, PowerTerm) for t in rest.terms):
+        return None
+    return max(abs(t.rate if isinstance(t, ExpTerm) else t.omega) for t in rest.terms)
+
+
+def _jets(rest, a, rate, taylor, top):
+    """The jets of a rest of sin, cos and exp terms at a, from their closed
+    forms: sine and cosine cycle with k mod 4, scaled by w^k, and exp scales by
+    lam^k, each power a repeated product as the derivative chain takes it.
+    Returns (jets, scaled, bound, spread): ``jets[k]`` is rest^(k)(a), k <
+    ``taylor``; ``scaled[k]`` is rest^(k)(a) / rate^k and ``bound[k]`` its
+    majorant sum_t |c_t| |w_t / rate|^k (|c_t| e^(lam_t a) for exp), k <=
+    ``top``; ``spread`` is the largest |w a + phi| or |lam a|, the scale of
+    the rounding of the terms' arguments.  OverflowError when an e^(lam a)
+    overflows."""
+    jets, scaled, bound, spread = [0.0] * taylor, [0.0] * (top + 1), [0.0] * (top + 1), 0.0
+    for t in rest.terms:
+        if isinstance(t, ExpTerm):
+            w, arg = t.rate, t.rate * a
+            e = math.exp(arg)
+            cycle, size = (e, e, e, e), abs(t.c) * e
+        else:
+            w, arg = t.omega, t.omega * a + t.phi
+            s, c = math.sin(arg), math.cos(arg)
+            cycle = (s, c, -s, -c) if isinstance(t, SinTerm) else (c, -s, -c, s)
+            size = abs(t.c)
+        spread = max(spread, abs(arg))
+        cycle *= top // 4 + 1
+        coef = t.c
+        for k in range(taylor):
+            jets[k] += coef * cycle[k]
+            coef *= w
+        coef, ratio = t.c, w / (rate or 1.0)
+        size_ratio = abs(ratio)
+        for k in range(top + 1):
+            scaled[k] += coef * cycle[k]
+            bound[k] += size
+            coef *= ratio
+            size *= size_ratio
+    return jets, scaled, bound, spread
+
+
+# the exponents 0 .. K of the powers of u in a series
+_POWERS = np.arange(_SERIES_TERMS + 1.0)
+
+
+def _series_rows(rest, rate, orders, a, xs, kind=KIND_CAPUTO):
+    """Derivatives of a rest of sin, cos and exp terms at the non-integer
+    ``orders``, at every x in ``xs`` with rate * (x - a) <= _SERIES_REACH, as
+    two (orders x points) arrays, the values and their estimates: the series
+
+        sum_{k>=n} rest^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha),
+
+    n = max(ceil(alpha), 0), over _SERIES_TERMS terms, plus for RL the power
+    rule on the Taylor terms rest^(k)(a)/k! (x - a)^k, k < n.  It is summed in
+    u = rate (x - a): a row of coefficients per order, against the powers of
+    u at each point, by elementwise products and a sum over each entry's own
+    terms, so an entry equals its one-point, one-order value bit for bit.
+    The estimate is (K + 4 + spread) eps times the sum of the majorant's
+    terms, plus twice its first omitted term, which bounds the tail: past
+    term K each majorant term is at most u / (K + 1) < 1/13 of the one
+    before.  DomainError when a jet or rate^n overflows."""
+    K = _SERIES_TERMS
+    ns = [max(math.ceil(o), 0) for o in orders]
+    exps = [n - o for n, o in zip(ns, orders)]
+    norm = rate or 1.0
+    try:
+        jets, scaled, bound, spread = _jets(rest, a, rate, max(ns) if kind == KIND_RL else 0,
+                                            max(ns) + K)
+        scales = [norm**n for n in ns]
+    except OverflowError:
+        raise DomainError(f"the derivative is not finite at x={xs[0]!r}, a={a!r}") from None
+    # per order, the coefficients rest^(n+j)(a) / (rate^j Gamma(b + j)), j < K,
+    # b = n - alpha + 1, by the recurrence Gamma(b + j + 1) = (b + j) Gamma(b + j),
+    # then those of the majorant, times the rounding factor, and twice its
+    # term K, which bounds the tail
+    values, bounds = [], []
+    rounding = (K + 4 + spread) * _EPS
+    for n, e, s in zip(ns, exps, scales):
+        g, b = rgamma(e + 1.0) * s, e + 1.0
+        row, major = [], []
+        for j in range(K):
+            row.append(scaled[n + j] * g)
+            major.append(bound[n + j] * g * rounding)
+            g /= b + j
+        values.append(row + [0.0])
+        bounds.append(major + [2.0 * bound[n + K] * g])
+    h = np.array(xs) - a
+    powers_u = np.power.outer(norm * h, _POWERS)
+    # one power call per distinct exponent n - alpha, as a Python float
+    powers = {}
+    for e in exps:
+        if e not in powers:
+            powers[e] = np.power(h, e)
+    sums = (np.array(values + bounds)[:, None, :] * powers_u).sum(axis=2)
+    values, est_errors = sums.reshape(2, len(orders), h.size) * [powers[e] for e in exps]
+    if kind == KIND_RL:
+        _add_taylor_terms(values, jets, orders, ns, a, xs)
+    return values, est_errors
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +461,17 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     list of them: each of the three then holds one entry per order.  An RL
     order may be any real number, a negative one a fractional integral.
 
-    The ``parts`` of split_powers(f, a) take ``power_rule``; the rest is one
-    ``caputo_from_chain`` call over all the orders and points, on the chain
-    rest, rest', ..., given the rest^(k)(a) for RL.  The estimates are the
-    rest's (0 when it is empty or the order an integer).  The method is
-    ClosedForm for an empty rest, or Caputo at an integer order; otherwise
-    Quadrature for Caputo and Bridge for RL.  DomainError when a value is
-    not finite.
+    The ``parts`` of split_powers(f, a) take ``power_rule``.  A rest of sin,
+    cos and exp terms takes its Taylor series (``_series_rows``) at every x
+    with rate * (x - a) <= 2, rate its largest |w| or |lam|; the rest's other
+    points, and a rest with a power term, take one ``caputo_from_chain`` call
+    over all the orders, on the chain rest, rest', ..., given the rest^(k)(a)
+    for RL.  An integer order is the exact row rest^(n)(x) at every point.
+    The estimates are the rest's (0 when it is empty or the order an
+    integer).  The method is ClosedForm for an empty rest, or Caputo at an
+    integer order; otherwise, for Caputo, SpecialFunction when every point
+    took the series and Quadrature when one took the integral, and Bridge
+    for RL.  DomainError when a value is not finite.
     """
     values, est_errors, methods, _ = _derivative_rows(f, alpha, a, xs, cfg, kind)
     rows = values.tolist(), est_errors.tolist(), methods
@@ -326,7 +481,8 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
 def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     """``derivative_many`` with one row per order, one order or many, as
     (orders x points) arrays of values and estimates, the methods, and the
-    chain f, f', ... it derived: the rest's if f is all rest, else [f]."""
+    chain f, f', ... it derived: the rest's if f is all rest and the rest
+    took a chain, else [f]."""
     many = isinstance(alpha, (list, tuple))
     orders = [float(o) for o in (alpha if many else (alpha,))]
     if (not orders or not math.isfinite(sum(orders))
@@ -336,29 +492,68 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     xs = [float(x) for x in xs]
     _check_interval(a, xs)
     parts, rest = split_powers(f, a)
+    chain = [f]
     if rest.is_zero():
         values, est_errors = np.zeros((len(orders), len(xs))), np.zeros((len(orders), len(xs)))
         methods = [METHOD_CLOSED] * len(orders)
-        chain = [f]
     else:
-        chain = derivative_chain([rest], max(math.ceil(max(orders)), 0))
-        at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
-        values, est_errors = caputo_from_chain([partial(evaluate_many, g) for g in chain],
-                                               orders, a, xs, cfg, at_a)
-        methods = ([METHOD_BRIDGE] * len(orders) if kind == KIND_RL else
-                   [METHOD_CLOSED if o.is_integer() else METHOD_QUAD for o in orders])
+        values, est_errors, methods, chain = _rest_rows(rest, orders, a, xs, cfg, kind)
     if parts:  # the rest's value first; with no power term it stands as it is
         values = values + [power_rule(parts, o, a, xs, kind) for o in orders]
         _check_finite(values, a, xs)
     return values, est_errors, methods, [f] if parts else chain
 
 
+def _rest_rows(rest, orders, a, xs, cfg, kind):
+    """The rows of ``_derivative_rows`` for a non-empty rest, with the
+    methods and the chain rest, rest', ... it derived, or [rest] when it
+    derived none: the series at the points it reaches, one
+    ``caputo_from_chain`` call at the others, and the exact row at an integer
+    order."""
+    ns = [math.ceil(o) if o > 0.0 else 0 for o in orders]
+    exact = [i for i, o in enumerate(orders) if o == ns[i]]
+    rate = _rate(rest)
+    near = [rate is not None and rate * (x - a) <= _SERIES_REACH for x in xs]
+    far = [x for x, is_near in zip(xs, near) if not is_near]
+    chain = [rest]
+    if far or exact:
+        chain = derivative_chain(chain, max(ns) if far else max(ns[i] for i in exact))
+    samplers = [partial(evaluate_many, g) for g in chain]
+    if far:
+        at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
+        values, est_errors = caputo_from_chain(samplers, orders, a, far, cfg, at_a)
+    if len(far) < len(xs):
+        points = [x for x, is_near in zip(xs, near) if is_near]
+        if exact:
+            series = np.empty((len(orders), len(points))), np.zeros((len(orders), len(points)))
+            frac = [i for i in range(len(orders)) if i not in exact]
+            if frac:
+                series[0][frac], series[1][frac] = _series_rows(
+                    rest, rate, [orders[i] for i in frac], a, points, kind)
+            for i in exact:
+                series[0][i] = samplers[ns[i]](points)
+        else:
+            series = _series_rows(rest, rate, orders, a, points, kind)
+        if far:  # the two routes' columns, back in the order of xs
+            cols = np.array(near)
+            rows = np.empty((len(orders), len(xs))), np.empty((len(orders), len(xs)))
+            for row, quad, near_part in zip(rows, (values, est_errors), series):
+                row[:, ~cols], row[:, cols] = quad, near_part
+            values, est_errors = rows
+        else:
+            values, est_errors = series
+        _check_finite(values, a, xs)
+    methods = [METHOD_BRIDGE if kind == KIND_RL else METHOD_CLOSED if i in exact
+               else METHOD_QUAD if far else METHOD_SPECIAL for i in range(len(orders))]
+    return values, est_errors, methods, chain
+
+
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
     """Caputo derivative at x: the one-point case of ``derivative_many``,
-    with its estimate when the method is Quadrature."""
+    with its estimate when the method is Quadrature or SpecialFunction."""
     (value,), (est,), method = derivative_many(f, alpha, a, (x,), cfg)
-    return DerivResult(value, KIND_CAPUTO, method, est if method == METHOD_QUAD else None)
+    return DerivResult(value, KIND_CAPUTO, method, est if method in _ESTIMATED else None)
 
 
 def rl_derivative(f: FuncExpr, alpha, a: float, x: float,

@@ -11,11 +11,11 @@ infinite series
 
 whose k > alpha terms involve fractional *integrals* (negative-order RL
 operators).  The orders alpha - k of a factor are one ``derivative_many``
-call, with one quadrature call over all of them, each RL derivative the
-Caputo one plus the RL power rule on the Taylor terms f^(j)(a)/j! (x - a)^j;
-the chain of derivatives it takes also gives the factor's f^(k) when f has
-no power term centered at a, for the series terms and for the (fg)^(k) of
-``leibniz_defect``.  The series terminates for polynomials and is
+call, with at most one quadrature call over all of them, each RL derivative
+the Caputo one plus the RL power rule on the Taylor terms
+f^(j)(a)/j! (x - a)^j; the chain of derivatives it takes, if any, also gives
+the factor's f^(k) when f has no power term centered at a, for the series
+terms and for the (fg)^(k) of ``leibniz_defect``.  The series terminates for polynomials and is
 truncated at K otherwise, with |term_K| reported as the residual.
 """
 

@@ -26,6 +26,7 @@ from fraclim.fracderiv import (
     METHOD_BRIDGE,
     METHOD_CLOSED,
     METHOD_QUAD,
+    METHOD_SPECIAL,
     DerivResult,
     QuadratureConfig,
     caputo_derivative,
@@ -52,11 +53,16 @@ CAPUTO_HALF_X2_AT_05 = 0.53192304053524357059  # Gamma(3)/Gamma(2.5) * 0.5^1.5
 COEF_BETA03_ALPHA07 = 0.60265603519071505147  # Gamma(1.3)/Gamma(0.6)
 COEF_BETA25_ALPHA05 = 1.6616754852239212756  # Gamma(3.5)/Gamma(3)
 INTEGRAL_HALF_X_AT_1 = 0.75225277806367504926  # Gamma(2)/Gamma(2.5)
+# (x + 1/2)^0.3 at a = 0: 0.3 (x + 1/2)^-0.2 B_t(1/2, 0.3) / Gamma(1/2), t = x / (x + 1/2)
+CAPUTO_HALF_OFF_CENTRE_AT_01 = 0.15958316100132708400
 
 X = parse_expr("pow(c=1,x0=0,beta=1)")
 X2 = parse_expr("pow(c=1,x0=0,beta=2)")
 SIN = parse_expr("sin(c=1,w=1)")
 EXP = parse_expr("exp(c=1,lam=1)")
+# a power term centered off the base point a = 0 is part of the rest, which
+# then takes the integral at every point
+OFF_CENTRE = parse_expr("pow(c=1,x0=-0.5,beta=0.3)")
 
 
 def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
@@ -82,15 +88,18 @@ def _power(beta, a):
     return FuncExpr((PowerTerm(1.0, a, beta),))
 
 
-def _taylor_caputo(terms, alpha, a, x):
+def _taylor_caputo(terms, alpha, a, x, majorant=False):
     """mpmath oracle for the Caputo derivative of a sum of ``terms``, each
     (kind, c, w, phi) for c sin(w x + phi), c cos(w x + phi) or, phi unused,
     c exp(w x): the series sum_{k>=n} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
-    summed in 40 digits until its terms are below 1e-30 of its largest."""
+    n = max(ceil(alpha), 0), summed in 40 digits until its terms are below
+    1e-30 of its largest.  A negative alpha gives the fractional integral.
+    With ``majorant``, (the sum, the sum of its terms' bounds
+    sum_t |c_t| |w_t|^k (e^(w_t a) for exp) (x-a)^(k-alpha) / Gamma(k+1-alpha))."""
     with mp.workdps(40):
-        n = math.ceil(alpha)
+        n = max(math.ceil(alpha), 0)
         alpha, a, h = mp.mpf(alpha), mp.mpf(a), mp.mpf(x) - mp.mpf(a)
-        total, largest, k = mp.mpf(0), mp.mpf(0), n
+        total, largest, bounds, k = mp.mpf(0), mp.mpf(0), mp.mpf(0), n
         while True:
             fk = mp.mpf(0)
             for kind, c, w, phi in terms:
@@ -105,9 +114,9 @@ def _taylor_caputo(terms, alpha, a, x):
                         * (mp.exp(mp.mpf(w) * a) if kind == "exp" else 1)
                         for kind, c, w, _ in terms) * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
             total += fk * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
-            largest = max(largest, bound)
+            largest, bounds = max(largest, bound), bounds + bound
             if k > n + 2 and bound < mp.mpf(10) ** -30 * largest:
-                return total
+                return (total, bounds) if majorant else total
             k += 1
 
 
@@ -195,31 +204,61 @@ def test_taylor_terms_annihilate_quadrature(alpha):
 
 
 def test_quadrature_sin_half_order():
-    r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.1, QuadratureConfig(nodes=1024))
+    # past the series' reach, w (x - a) > 2, sin takes the integral
+    r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 2.5, QuadratureConfig(nodes=1024))
     assert r.method == METHOD_QUAD
-    assert r.value == pytest.approx(CAPUTO_HALF_SIN_AT_01, abs=2e-9)
+    assert r.value == pytest.approx(_taylor_caputo([("sin", 1.0, 1.0, 0.0)], 0.5, 0.0, 2.5),
+                                    abs=2e-9)
     assert r.est_error is not None
+    cfg = QuadratureConfig(nodes=1024)
+    assert _quadrature(SIN, FracOrder(0.5), 0.0, 0.1, cfg) == pytest.approx(
+        CAPUTO_HALF_SIN_AT_01, abs=2e-9)
+
+
+def test_series_sin_half_order():
+    r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.1, QuadratureConfig(nodes=1024))
+    assert r.method == METHOD_SPECIAL
+    assert abs(r.value - CAPUTO_HALF_SIN_AT_01) <= r.est_error
+
+
+# the value tests below check the series route (caputo_derivative) and the
+# quadrature (_quadrature) on the same frozen integral
 
 
 def test_quadrature_sin_half_order_interior_point():
     r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.5, QuadratureConfig(nodes=2048))
     assert r.value == pytest.approx(CAPUTO_HALF_SIN_AT_05, abs=1e-8)
+    quad = _quadrature(SIN, FracOrder(0.5), 0.0, 0.5, QuadratureConfig(nodes=2048))
+    assert quad == pytest.approx(CAPUTO_HALF_SIN_AT_05, abs=1e-8)
 
 
 def test_quadrature_exp_against_erf_closed_form():
     r = caputo_derivative(EXP, FracOrder(0.5), 0.0, 1.0, QuadratureConfig(nodes=4096))
     assert r.value == pytest.approx(CAPUTO_HALF_EXP_AT_1, abs=5e-8)
+    quad = _quadrature(EXP, FracOrder(0.5), 0.0, 1.0, QuadratureConfig(nodes=4096))
+    assert quad == pytest.approx(CAPUTO_HALF_EXP_AT_1, abs=5e-8)
 
 
 def test_quadrature_order_between_one_and_two():
     r = caputo_derivative(SIN, FracOrder(1.5), 0.0, 0.7, QuadratureConfig(nodes=1024))
     assert r.value == pytest.approx(CAPUTO_3HALF_SIN_AT_07, abs=1e-7)
+    quad = _quadrature(SIN, FracOrder(1.5), 0.0, 0.7, QuadratureConfig(nodes=1024))
+    assert quad == pytest.approx(CAPUTO_3HALF_SIN_AT_07, abs=1e-7)
 
 
 def test_est_error_tracks_true_error():
-    r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.1, QuadratureConfig(nodes=1024))
-    true_err = abs(r.value - CAPUTO_HALF_SIN_AT_01)
+    r = caputo_derivative(OFF_CENTRE, FracOrder(0.5), 0.0, 0.1, QuadratureConfig(nodes=1024))
+    assert r.method == METHOD_QUAD
+    true_err = abs(r.value - CAPUTO_HALF_OFF_CENTRE_AT_01)
     assert 0.2 * true_err <= r.est_error <= 5.0 * true_err
+
+
+def test_series_est_error_bounds_true_error():
+    r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.1)
+    assert r.method == METHOD_SPECIAL
+    true_err = abs(r.value - CAPUTO_HALF_SIN_AT_01)
+    # the rounding term of about 30 eps times the majorant, here about |value|
+    assert true_err <= r.est_error <= 1e-14 * abs(r.value)
 
 
 def test_integer_order_collapses_to_symbolic():
@@ -276,15 +315,71 @@ _ORDERS = st.one_of(
 ).filter(lambda al: 0.0 < al < 3.0 and al != round(al))
 
 
-@given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), st.floats(-8.0, math.log10(2.0)))
+def _rate(terms):
+    return max(abs(w) for _, _, w, _ in terms)
+
+
+@given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), st.floats(1.01, 3.0))
 @settings(max_examples=150, deadline=None)
-def test_estimate_bounds_the_error(terms, alpha, a, log_gap):
-    # the benchmark's rule: |error| <= est_error + 1e-12 |value| (its ROUNDING)
-    x = a + 10.0**log_gap
+def test_estimate_bounds_the_error(terms, alpha, a, reach):
+    # the benchmark's rule: |error| <= est_error + 1e-12 |value| (its ROUNDING);
+    # past the series' reach, rate (x - a) > 2, the rest takes the integral
+    x = a + reach * 2.0 / _rate(terms)
     r = caputo_derivative(_expr(terms), alpha, a, x)
     assert r.method == METHOD_QUAD
     exact = _taylor_caputo(terms, alpha, a, x)
     assert abs(r.value - exact) <= r.est_error + 1e-12 * abs(exact)
+
+
+def test_quadrature_estimate_covers_the_rounding_of_its_samples():
+    # at an order near 0 the value is about f(x) - f(a) = 0, about 6e-6, while
+    # the samples of f' = sin(2 - z) are of size 1: their rounding, a few
+    # 1e-16, is the whole error, and the estimate must cover it unforgiven
+    terms = [("cos", 1.0, -1.0, 2.0)]
+    r = caputo_derivative(_expr(terms), 2.327631959785385e-06, 0.0, 4.0)
+    assert r.method == METHOD_QUAD
+    exact = _taylor_caputo(terms, 2.327631959785385e-06, 0.0, 4.0)
+    assert abs(r.value) < 1e-5
+    assert abs(r.value - exact) <= r.est_error <= 1e-14
+
+
+def _check_series(terms, alpha, a, reach, kind=KIND_CAPUTO):
+    """The series at rate (x - a) = reach against the mpmath series: the
+    estimate bounds the error, and is at most 1e-13 of the majorant."""
+    x = a + reach * 2.0 / _rate(terms)
+    while _rate(terms) * (x - a) > 2.0:  # x rounded past the reach
+        x = math.nextafter(x, a)
+    if not x > a:
+        return
+    ((value,),), ((est,),), (method,) = derivative_many(_expr(terms), [alpha], a, [x], kind=kind)
+    assert method == (METHOD_SPECIAL if kind == KIND_CAPUTO else METHOD_BRIDGE)
+    exact, majorant = _taylor_caputo(terms, alpha, a, x, majorant=True)
+    assert abs(value - exact) <= est
+    assert est <= 1e-13 * majorant
+
+
+_REACH = st.floats(1e-12, 1.0)
+
+
+@given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), _REACH)
+@settings(max_examples=150, deadline=None)
+def test_series_estimate_bounds_the_error(terms, alpha, a, reach):
+    _check_series(terms, alpha, a, reach)
+
+
+@pytest.mark.parametrize("alpha", [0.97, 0.999, 1.001, 1.97])
+@given(terms=_TERMS, a=st.floats(-1.0, 1.0), reach=_REACH)
+@settings(max_examples=40, deadline=None)
+def test_series_estimate_bounds_the_error_near_integers(alpha, terms, a, reach):
+    _check_series(terms, alpha, a, reach)
+
+
+@given(_TERMS, st.floats(-3.0, -0.001).filter(lambda al: al != round(al)),
+       st.floats(-1.0, 1.0), _REACH)
+@settings(max_examples=60, deadline=None)
+def test_series_fractional_integral_bounds_the_error(terms, alpha, a, reach):
+    # a negative RL order: the fractional integral, all series, no Taylor term
+    _check_series(terms, alpha, a, reach, KIND_RL)
 
 
 def test_linearity_on_quadrature_route():
@@ -373,7 +468,13 @@ def test_rl_minus_caputo_is_the_boundary_series():
 
 def test_dispatchers_pick_routes():
     assert caputo_derivative(X2, 0.5, 0.0, 1.0).method == METHOD_CLOSED
-    assert caputo_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_QUAD
+    # sin takes the series up to w (x - a) = 2 and the integral past it; an
+    # off-centre power takes the integral at every point
+    assert caputo_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_SPECIAL
+    assert caputo_derivative(SIN, 0.5, 0.0, 2.0).method == METHOD_SPECIAL
+    assert caputo_derivative(SIN, 0.5, 0.0, 3.0).method == METHOD_QUAD
+    assert caputo_derivative(OFF_CENTRE, 0.5, 0.0, 0.1).method == METHOD_QUAD
+    assert caputo_derivative(SIN + OFF_CENTRE, 0.5, 0.0, 0.1).method == METHOD_QUAD
     assert rl_derivative(X2, 0.5, 0.0, 1.0).method == METHOD_CLOSED
     assert rl_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_BRIDGE
 
@@ -384,8 +485,14 @@ MIXED = parse_expr("pow(c=1,x0=0,beta=0.3) + pow(c=2,x0=0,beta=1) + sin(c=1,w=1)
 
 
 def test_mixed_sum_takes_power_terms_exactly():
-    r = caputo_derivative(MIXED, 1.5, 0.0, 0.7, QuadratureConfig(nodes=1024))
+    # past the series' reach the rest takes the integral
+    r = caputo_derivative(MIXED, 1.5, 0.0, 2.5, QuadratureConfig(nodes=1024))
     assert r.method == METHOD_QUAD
+    exact = (math.gamma(1.3) / math.gamma(-0.2) * 2.5**-1.2
+             + _taylor_caputo([("sin", 1.0, 1.0, 0.0)], 1.5, 0.0, 2.5))
+    assert r.value == pytest.approx(exact, abs=1e-7)
+    r = caputo_derivative(MIXED, 1.5, 0.0, 0.7, QuadratureConfig(nodes=1024))
+    assert r.method == METHOD_SPECIAL
     exact = math.gamma(1.3) / math.gamma(-0.2) * 0.7**-1.2 + CAPUTO_3HALF_SIN_AT_07
     assert r.value == pytest.approx(exact, abs=1e-7)
     r = caputo_derivative(MIXED, 2, 0.0, 0.7)
@@ -402,7 +509,7 @@ def test_derivative_many_equals_one_point_calls(kind, alpha):
     results = [one(MIXED, alpha, 0.0, x) for x in pts]
     assert values == [r.value for r in results]
     assert {r.method for r in results} == {method}
-    if method == METHOD_QUAD:
+    if method in (METHOD_QUAD, METHOD_SPECIAL):
         assert est_errors == [r.est_error for r in results]
 
 
@@ -423,18 +530,50 @@ def test_derivative_many_orders_equal_one_order_calls(kind, orders):
     assert methods == [m for _, _, m in one]
 
 
+# points on both sides of the series' reach, rate (x - a) = 2, for rates 1
+# and 2.5; 2.0 and 0.8 lie on it
+STRADDLE = {1.0: (0.3, 1.9, 2.0, 2.1, 3.6), 2.5: (0.1, 0.8, 0.81, 1.7)}
+
+
+@pytest.mark.parametrize("kind,orders", [
+    (KIND_CAPUTO, [0.3, 0.999, 1.0, 1.001, 1.7, 2.5]),
+    (KIND_RL, [-1.5, -1.0, -0.5, 0.0, 0.5, 2.0, 2.5]),
+], ids=["caputo", "rl"])
+@pytest.mark.parametrize("f,rate", [
+    (SQRT_SIN_EXP, 1.0), (parse_expr("cos(c=2,w=-2.5,phi=0.4) + exp(c=1,lam=1.5)"), 2.5),
+], ids=["mixed", "smooth"])
+def test_points_straddling_the_series_reach_equal_one_point_calls(f, rate, kind, orders):
+    pts = STRADDLE[rate]
+    values, est_errors, methods = derivative_many(f, orders, 0.0, pts, kind=kind)
+    for i, order in enumerate(orders):
+        for j, x in enumerate(pts):
+            (value,), (est,), method = derivative_many(f, order, 0.0, (x,), kind=kind)
+            assert (values[i][j], est_errors[i][j]) == (value, est)
+        # one point past the reach makes the order's method Quadrature
+        one = {derivative_many(f, order, 0.0, (x,), kind=kind)[2] for x in pts}
+        assert methods[i] == (METHOD_QUAD if one == {METHOD_SPECIAL, METHOD_QUAD}
+                              else one.pop())
+
+
 @pytest.mark.parametrize("kind,orders", [
     (KIND_CAPUTO, [0.3, 1.0, 1.7, 2.5]),
     (KIND_RL, [-1.5, -0.5, 0.5, 2.0]),
 ], ids=["caputo", "rl"])
 def test_derivative_many_makes_one_core_call(monkeypatch, kind, orders):
-    # the orders take 0 to 3 derivatives, and all their integrals are one call
+    # the orders take 0 to 3 derivatives, and all their integrals are one
+    # call, at points past the series' reach
     calls = []
     core = fraclim.fracderiv.singular_integral
     monkeypatch.setattr(fraclim.fracderiv, "singular_integral",
-                        lambda *args, **kwargs: calls.append(args[1]) or core(*args, **kwargs))
-    derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 0.9, 1.6), kind=kind)
+                        lambda *args, **kwargs: calls.append(args[3]) or core(*args, **kwargs))
+    derivative_many(SQRT_SIN_EXP, orders, 0.0, (2.3, 2.9, 3.6), kind=kind)
     assert len(calls) == 1
+    # within the reach no point takes the integral; across it, only those past it
+    calls.clear()
+    derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 0.9, 1.6), kind=kind)
+    assert calls == []
+    derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 2.9, 1.6, 3.6), kind=kind)
+    assert [xs.tolist() for xs in calls] == [[2.9, 3.6]]
 
 
 @pytest.mark.parametrize("kind,orders", [
@@ -471,6 +610,9 @@ def test_deriv_result_invariant():
         DerivResult(1.0, KIND_CAPUTO, METHOD_CLOSED, est_error=1e-9)
     with pytest.raises(ValueError):
         DerivResult(1.0, KIND_CAPUTO, METHOD_QUAD)
+    with pytest.raises(ValueError):
+        DerivResult(1.0, KIND_CAPUTO, METHOD_SPECIAL)
+    assert DerivResult(1.0, KIND_CAPUTO, METHOD_SPECIAL, 1e-16).est_error == 1e-16
 
 
 def test_quadrature_config_validation():

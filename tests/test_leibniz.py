@@ -20,6 +20,7 @@ from fraclim.fracderiv import (
     KIND_RL,
     METHOD_CLOSED,
     QuadratureConfig,
+    derivative_many,
     power_rule,
     rl_derivative,
     singular_integral,
@@ -364,9 +365,21 @@ def test_defect_at_three_points_equals_one_point_calls(f, g, alpha, operator):
                                for x in pts)
 
 
-def _series_reference(f, g, alpha, a, x, K, cfg):
+def _quadrature_integral(rest, order, a, x, cfg):
+    ((integral,),), _ = singular_integral([lambda zs: evaluate_many(rest, zs)], [-order], a,
+                                          (x,), cfg)
+    return float(integral)
+
+
+def _series_integral(rest, order, a, x, cfg):
+    return derivative_many(rest, order, a, (x,), cfg, KIND_RL)[0][0]
+
+
+def _series_reference(f, g, alpha, a, x, K, cfg, integral=_quadrature_integral):
     """The symmetrized series term by term from the public operators: one
-    rl_derivative, singular_integral or power_rule call per order."""
+    rl_derivative, ``integral`` (singular_integral, or the one-order,
+    one-point derivative_many of the series route) or power_rule call per
+    order."""
 
     def rl(h, order):
         if order == 0.0:
@@ -378,10 +391,8 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
                     for c, beta in parts)
         if rest.is_zero():
             return power
-        ((integral,),), _ = singular_integral([lambda zs: evaluate_many(rest, zs)], [-order], a,
-                                              (x,), cfg)
-        integral = float(integral)
-        return integral + power if parts else integral
+        value = integral(rest, order, a, x, cfg)
+        return value + power if parts else value
 
     terms = []
     for k in range(K + 1):
@@ -400,10 +411,23 @@ def _series_reference(f, g, alpha, a, x, K, cfg):
 @pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (X2, POLY), (MIXED, EXP)],
                          ids=["sin-exp", "poly-sin", "poly-poly", "mixed-exp"])
 def test_series_equals_per_term_reference(f, g, alpha):
+    # every factor's rest has rate 1: at x - a > 2 it takes the integral
+    cfg = QuadratureConfig(nodes=256)
+    for x, K in ((2.3, 6), (3.1, 12)):
+        sr = symmetrized_series(f, g, alpha, 0.0, x, K=K, cfg=cfg)
+        assert (sr.value, sr.residual) == _series_reference(f, g, alpha, 0.0, x, K, cfg)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("f,g", [(SIN, EXP), (POLY, SIN), (X2, POLY), (MIXED, EXP)],
+                         ids=["sin-exp", "poly-sin", "poly-poly", "mixed-exp"])
+def test_series_route_equals_per_term_reference(f, g, alpha):
+    # at x - a <= 2 the rests take the series
     cfg = QuadratureConfig(nodes=256)
     for x, K in ((0.7, 6), (1.3, 12)):
         sr = symmetrized_series(f, g, alpha, 0.0, x, K=K, cfg=cfg)
-        assert (sr.value, sr.residual) == _series_reference(f, g, alpha, 0.0, x, K, cfg)
+        assert (sr.value, sr.residual) == _series_reference(f, g, alpha, 0.0, x, K, cfg,
+                                                             _series_integral)
 
 
 # --- work counts: a later edit must not bring back per-point or per-order work ---
@@ -433,7 +457,8 @@ def work(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.5, 2.5])
 def test_series_samples_each_factor_once_for_its_integrals(work, alpha):
     exp2 = parse_expr("exp(c=1,lam=2)")  # unlike e^x, not its own derivative
-    symmetrized_series(SIN, exp2, alpha, 0.0, 1.0, K=12)
+    # at x - a = 2.5 both factors are past the series' reach (rates 1 and 2)
+    symmetrized_series(SIN, exp2, alpha, 0.0, 2.5, K=12)
     # f and g themselves are sampled only for their 12 - n + 1 integrals,
     # once each; each of the n derivative terms samples f^(n-k) or g^(n-k);
     # all the integrals of a factor are one core call
@@ -444,15 +469,31 @@ def test_series_samples_each_factor_once_for_its_integrals(work, alpha):
     assert work["core"] == 2
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.5])
+def test_series_within_reach_samples_nothing(work, alpha):
+    # at x - a = 1 both factors take the series: no integral, no sample
+    symmetrized_series(SIN, parse_expr("exp(c=1,lam=2)"), alpha, 0.0, 1.0, K=12)
+    assert work == {"core": 0, "sampled": []}
+
+
 def test_defect_core_calls_do_not_grow_with_points(work):
-    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.3, 0.9, 1.6))
+    # past the series' reach of sin and exp, x - a > 2
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (2.3, 2.9, 3.6))
     # one core call each for D(fg), D f and D g, whatever the number of points
     assert work["core"] == 3
     three_points = len(work["sampled"])
     work["sampled"].clear()
-    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.9,))
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (3.6,))  # the point that takes the most rules
     assert work["core"] == 6
     assert len(work["sampled"]) == three_points
+
+
+def test_defect_within_reach_integrates_only_the_product(work):
+    # D f and D g take the series; D(fg) is the one core call
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.3, 0.9, 1.6))
+    assert work["core"] == 1
+    leibniz_defect(SIN, EXP, 0.5, 0.0, (0.9,))
+    assert work["core"] == 2
 
 
 def test_rl_product_samples_each_factor_derivative_once_at_a(monkeypatch):
@@ -486,9 +527,17 @@ def test_products_derive_each_factor_once(monkeypatch):
     # the boundary values (fg)^(k)(a) alike
     assert len(steps) == 6
     for op in ("caputo", "rl"):
+        for f in (SIN, X2 + SIN):
+            steps.clear()
+            leibniz_defect(f, EXP, 2.5, 0.0, (0.4, 1.1), operator=op)
+            # D^alpha f and D^alpha g take the series and derive no chain, so
+            # f^(k) and g^(k) are derived once, for D^alpha(fg), also when f
+            # mixes a power term with the rest
+            assert len(steps) == 6
         steps.clear()
-        leibniz_defect(SIN, EXP, 2.5, 0.0, (0.4, 1.1), operator=op)
-        # the chains that D^alpha f and D^alpha g derive go on to D^alpha(fg)
+        leibniz_defect(SIN, EXP, 2.5, 0.0, (2.4, 3.1), operator=op)
+        # past the series' reach, the chains that D^alpha f and D^alpha g
+        # derive go on to D^alpha(fg)
         assert len(steps) == 6
     steps.clear()
     integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))

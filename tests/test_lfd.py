@@ -19,13 +19,14 @@ from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunctio
 from fraclim.fracderiv import (
     METHOD_BRIDGE,
     METHOD_QUAD,
+    METHOD_SPECIAL,
     QuadratureConfig,
     caputo_derivative,
     derivative_many,
     rl_derivative,
     split_powers,
 )
-from fraclim.funcmodel import derivative, evaluate, parse_expr
+from fraclim.funcmodel import PowerTerm, derivative, evaluate, parse_expr
 from fraclim.lfd import (
     CLASS_DIVERGENT,
     CLASS_FINITE,
@@ -69,25 +70,32 @@ def test_scan_integer_order_takes_the_exact_derivative():
 @pytest.mark.parametrize("nodes", [512, 511])
 def test_scan_matches_pointwise_quadrature(nodes):
     f = parse_expr("cos(c=2,w=1.5,phi=0.3) + exp(c=1,lam=-0.8)")
-    cfg = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=nodes))
+    # rate 1.5: the offsets 12.8 down to 1.6 take the integral, and from 0.8
+    # down the series
+    cfg = ScanConfig(h0=12.8, ratio=0.5, count=26, quad=QuadratureConfig(nodes=nodes))
     for alpha in (0.4, 2.6):
         for s in lfd_report(f, FracOrder(alpha), 0.5, cfg).samples:
             one = caputo_derivative(f, FracOrder(alpha), 0.5, s.x, cfg.quad)
-            assert one.method == METHOD_QUAD
+            assert one.method == (METHOD_QUAD if s.offset > 1.0 else METHOD_SPECIAL)
             assert s.value == pytest.approx(one.value, rel=1e-13)
             assert s.est_error == pytest.approx(one.est_error, rel=1e-13, abs=1e-300)
 
 
-# Gamma(1.3)/Gamma(0.6) 0.5^-0.4 + sum_k (-1)^k 0.5^(2k+0.3) / Gamma(2k+1.3) (dps=40)
+# Gamma(1.3)/Gamma(0.6) x^-0.4 + sum_k (-1)^k x^(2k+0.3) / Gamma(2k+1.3) (dps=40)
 MIXED_CAPUTO_07_AT_05 = 1.6259060634692188956
+MIXED_CAPUTO_07_AT_25 = -0.059400585478662884194
 
 
 def test_mixed_fractional_power_sum_is_split_by_term():
     # f' holds (x - a)^-0.7, which no quadrature can sample at z = a: the
-    # power term takes the power rule and only sin goes through quadrature
+    # power term takes the power rule and only sin goes through quadrature,
+    # past the series' reach, or the series
     f = parse_expr("pow(c=1,x0=0,beta=0.3) + sin(c=1,w=1)")
-    r = caputo_derivative(f, 0.7, 0.0, 0.5)
+    r = caputo_derivative(f, 0.7, 0.0, 2.5)
     assert r.method == METHOD_QUAD
+    assert abs(r.value - MIXED_CAPUTO_07_AT_25) <= 1e-7
+    r = caputo_derivative(f, 0.7, 0.0, 0.5)
+    assert r.method == METHOD_SPECIAL
     assert abs(r.value - MIXED_CAPUTO_07_AT_05) <= 1e-7
     assert rl_derivative(f, 0.7, 0.0, 0.5).method == METHOD_BRIDGE
     assert lfd_report(f, FracOrder(0.7), 0.0, FAST_CFG).classification.kind == CLASS_DIVERGENT
@@ -259,13 +267,23 @@ def test_exponent_tol_must_be_finite_and_non_negative(tol):
 
 
 def test_est_error_is_at_rounding_at_both_caps():
-    coarse = lfd_report(SIN, FracOrder(0.5), 0.0,
+    # an off-centre power takes the integral at every point
+    f = parse_expr("pow(c=1,x0=-0.5,beta=0.3)")
+    coarse = lfd_report(f, FracOrder(0.5), 0.0,
                         ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=256))).samples
-    fine = lfd_report(SIN, FracOrder(0.5), 0.0,
+    fine = lfd_report(f, FracOrder(0.5), 0.0,
                       ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=1024))).samples
     for c, f in zip(coarse, fine):
         assert 0.0 < c.est_error <= 1e-13 * abs(c.value)
         assert 0.0 < f.est_error <= 1e-13 * abs(f.value)
+
+
+def test_series_est_error_is_at_rounding():
+    # sin at these offsets takes the series, whatever the node cap
+    for nodes in (256, 1024):
+        cfg = ScanConfig(h0=0.1, count=4, quad=QuadratureConfig(nodes=nodes))
+        for s in lfd_report(SIN, FracOrder(0.5), 0.0, cfg).samples:
+            assert 0.0 < s.est_error <= 1e-13 * abs(s.value)
 
 
 def test_oscillatory_integer_order_stays_finite_from_small_h0():
@@ -465,22 +483,40 @@ def test_corpus_scan_makes_one_scan_and_one_fit_per_entry(monkeypatch):
     for f, a in read_corpus(str(CORPUS)):
         calls.clear()
         assert len(lfd_report_many(f, VERIFY_ALPHAS, a, VERIFY_CFG)) == len(VERIFY_ALPHAS)
-        # one quadrature call over every order, unless f is all power terms
-        core = 0 if split_powers(f, a)[1].is_zero() else 1
+        # one quadrature call over every order when the rest holds a power
+        # term (an off-centre polynomial); a rest of sin, cos and exp terms
+        # takes the series at every scan point, x - a <= 0.1
+        core = int(any(isinstance(t, PowerTerm) for t in split_powers(f, a)[1].terms))
         assert calls == Counter(_derivative_rows=1, lfd_classify=1, singular_integral=core)
         cores += core
-    assert cores == 18
+    assert cores == 2
 
 
 @pytest.mark.parametrize("f, steps", [(SIN, 3), (parse_expr("pow(c=1,x0=0,beta=3.5)"), 3),
                                       (parse_expr("pow(c=1,x0=0,beta=3.5) + sin(c=1,w=1)"), 6)])
 def test_scan_chain_serves_the_prefactors_when_f_is_all_rest(monkeypatch, f, steps):
     # with no power term centered at a, the chain the scan derived for the
-    # rest is the chain of f up to f^(3) that the theory prefactors need
+    # rest is the chain of f up to f^(3) that the theory prefactors need;
+    # from h0 = 3.2 the first scan points of sin are past the series' reach,
+    # and take the integral on that chain
+    _check_prefactor_steps(monkeypatch, f, 3.2, steps)
+
+
+@pytest.mark.parametrize("f, steps", [(SIN, 3),
+                                      (parse_expr("pow(c=1,x0=0,beta=3.5) + sin(c=1,w=1)"), 4)])
+def test_series_scan_derives_only_the_integer_orders_chain(monkeypatch, f, steps):
+    # from h0 = 0.1 sin takes the series at every point: only the integer
+    # order 1 derives the rest's first derivative, and the prefactors derive
+    # f's chain, which for sin alone goes on from that one
+    _check_prefactor_steps(monkeypatch, f, 0.1, steps)
+
+
+def _check_prefactor_steps(monkeypatch, f, h0, steps):
     calls = []
     monkeypatch.setattr(funcmodel, "derivative",
                         lambda g, k, _fn=funcmodel.derivative: calls.append(k) or _fn(g, k))
-    reps = lfd_report_many(f, [0.5, 1.0, 2.5], 0.0, FAST_CFG)
+    cfg = ScanConfig(h0=h0, ratio=0.5, count=16, quad=QuadratureConfig(nodes=512))
+    reps = lfd_report_many(f, [0.5, 1.0, 2.5], 0.0, cfg)
     assert len(calls) == steps
     assert [r.theory_prefactor for r in reps] == [
         evaluate(derivative(f, n), 0.0) * rgamma(n + 1.0 - al)
