@@ -51,7 +51,7 @@ from .funcmodel import (
     FuncExpr,
     PowerTerm,
     SinTerm,
-    derivative_chain,
+    derivative,
     evaluate,
     evaluate_many,
 )
@@ -89,7 +89,7 @@ class QuadratureConfig:
     nodes: int = 512
 
     def __post_init__(self):
-        if self.nodes != int(self.nodes) or self.nodes < 2:
+        if not 2 <= self.nodes < math.inf or self.nodes != int(self.nodes):
             raise DomainError(f"nodes must be an integer >= 2, got {self.nodes!r}")
 
 
@@ -283,7 +283,8 @@ def caputo_from_chain(chain, orders, a: float, xs,
                       cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
     """Caputo derivatives of g at every order in ``orders`` and x in ``xs``,
     as two (orders x points) arrays, the values and their estimates;
-    ``chain[k]`` maps a 1-d array of points z to g^(k)(z).  An order o takes
+    ``chain[n]``, a list or a dict keyed by n, maps a 1-d array of points z
+    to g^(n)(z) for every n the orders take.  An order o takes
     n = max(ceil(o), 0) derivatives, and the integral of order n - o on
     chain[n]: one ``singular_integral`` call integrates every non-integer
     order, one row each, with the rows of each n together in the order the n
@@ -357,7 +358,7 @@ def _rate(rest):
 def _jets(rest, a, rate, taylor, top):
     """The jets of a rest of sin, cos and exp terms at a, from their closed
     forms: sine and cosine cycle with k mod 4, scaled by w^k, and exp scales by
-    lam^k, each power a repeated product as the derivative chain takes it.
+    lam^k, each power a repeated product as ``derivative`` takes it.
     Returns (jets, scaled, bound, spread): ``jets[k]`` is rest^(k)(a), k <
     ``taylor``; ``scaled[k]`` is rest^(k)(a) / rate^k and ``bound[k]`` its
     majorant sum_t |c_t| |w_t / rate|^k (|c_t| e^(lam_t a) for exp), k <=
@@ -465,24 +466,22 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     cos and exp terms takes its Taylor series (``_series_rows``) at every x
     with rate * (x - a) <= 2, rate its largest |w| or |lam|; the rest's other
     points, and a rest with a power term, take one ``caputo_from_chain`` call
-    over all the orders, on the chain rest, rest', ..., given the rest^(k)(a)
-    for RL.  An integer order is the exact row rest^(n)(x) at every point.
-    The estimates are the rest's (0 when it is empty or the order an
-    integer).  The method is ClosedForm for an empty rest, or Caputo at an
-    integer order; otherwise, for Caputo, SpecialFunction when every point
-    took the series and Quadrature when one took the integral, and Bridge
-    for RL.  DomainError when a value is not finite.
+    over all the orders, on the rest^(n) of each derivative count n, given the
+    rest^(k)(a) for RL.  An integer order is the exact row rest^(n)(x) at
+    every point.  The estimates are the rest's (0 when it is empty or the
+    order an integer).  The method is ClosedForm for an empty rest, or
+    Caputo at an integer order; otherwise, for Caputo, SpecialFunction when
+    every point took the series and Quadrature when one took the integral,
+    and Bridge for RL.  DomainError when a value is not finite.
     """
-    values, est_errors, methods, _ = _derivative_rows(f, alpha, a, xs, cfg, kind)
+    values, est_errors, methods = _derivative_rows(f, alpha, a, xs, cfg, kind)
     rows = values.tolist(), est_errors.tolist(), methods
     return rows if isinstance(alpha, (list, tuple)) else tuple(r[0] for r in rows)
 
 
 def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     """``derivative_many`` with one row per order, one order or many, as
-    (orders x points) arrays of values and estimates, the methods, and the
-    chain f, f', ... it derived: the rest's if f is all rest and the rest
-    took a chain, else [f]."""
+    (orders x points) arrays of values and estimates, and the methods."""
     many = isinstance(alpha, (list, tuple))
     orders = [float(o) for o in (alpha if many else (alpha,))]
     if (not orders or not math.isfinite(sum(orders))
@@ -492,35 +491,35 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
     xs = [float(x) for x in xs]
     _check_interval(a, xs)
     parts, rest = split_powers(f, a)
-    chain = [f]
     if rest.is_zero():
         values, est_errors = np.zeros((len(orders), len(xs))), np.zeros((len(orders), len(xs)))
         methods = [METHOD_CLOSED] * len(orders)
     else:
-        values, est_errors, methods, chain = _rest_rows(rest, orders, a, xs, cfg, kind)
+        values, est_errors, methods = _rest_rows(rest, orders, a, xs, cfg, kind)
     if parts:  # the rest's value first; with no power term it stands as it is
         values = values + [power_rule(parts, o, a, xs, kind) for o in orders]
         _check_finite(values, a, xs)
-    return values, est_errors, methods, [f] if parts else chain
+    return values, est_errors, methods
 
 
 def _rest_rows(rest, orders, a, xs, cfg, kind):
     """The rows of ``_derivative_rows`` for a non-empty rest, with the
-    methods and the chain rest, rest', ... it derived, or [rest] when it
-    derived none: the series at the points it reaches, one
-    ``caputo_from_chain`` call at the others, and the exact row at an integer
-    order."""
+    methods: the series at the points it reaches, one ``caputo_from_chain``
+    call at the others, on the rest^(n) of each derivative count n, and the
+    exact row at an integer order."""
     ns = [math.ceil(o) if o > 0.0 else 0 for o in orders]
     exact = [i for i, o in enumerate(orders) if o == ns[i]]
     rate = _rate(rest)
     near = [rate is not None and rate * (x - a) <= _SERIES_REACH for x in xs]
     far = [x for x, is_near in zip(xs, near) if not is_near]
-    chain = [rest]
-    if far or exact:
-        chain = derivative_chain(chain, max(ns) if far else max(ns[i] for i in exact))
-    samplers = [partial(evaluate_many, g) for g in chain]
+    if far:  # every n, and for RL the rest^(k)(a), k < max n, of the boundary terms
+        taken = range(max(ns) + 1) if kind == KIND_RL else set(ns)
+    else:
+        taken = {ns[i] for i in exact}
+    derived = {n: derivative(rest, n) for n in sorted(taken)}
+    samplers = {n: partial(evaluate_many, g) for n, g in derived.items()}
     if far:
-        at_a = [evaluate(g, a) for g in chain[:-1]] if kind == KIND_RL else None
+        at_a = [evaluate(derived[k], a) for k in range(max(ns))] if kind == KIND_RL else None
         values, est_errors = caputo_from_chain(samplers, orders, a, far, cfg, at_a)
     if len(far) < len(xs):
         points = [x for x, is_near in zip(xs, near) if is_near]
@@ -545,7 +544,7 @@ def _rest_rows(rest, orders, a, xs, cfg, kind):
         _check_finite(values, a, xs)
     methods = [METHOD_BRIDGE if kind == KIND_RL else METHOD_CLOSED if i in exact
                else METHOD_QUAD if far else METHOD_SPECIAL for i in range(len(orders))]
-    return values, est_errors, methods, chain
+    return values, est_errors, methods
 
 
 def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,

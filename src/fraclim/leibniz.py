@@ -13,9 +13,8 @@ whose k > alpha terms involve fractional *integrals* (negative-order RL
 operators).  The orders alpha - k of a factor are one ``derivative_many``
 call, with at most one quadrature call over all of them, each RL derivative
 the Caputo one plus the RL power rule on the Taylor terms
-f^(j)(a)/j! (x - a)^j; the chain of derivatives it takes, if any, also gives
-the factor's f^(k) when f has no power term centered at a, for the series
-terms and for the (fg)^(k) of ``leibniz_defect``.  The series terminates for polynomials and is
+f^(j)(a)/j! (x - a)^j.  Every integer derivative f^(k) is one exact
+``derivative`` call.  The series terminates for polynomials and is
 truncated at K otherwise, with |term_K| reported as the residual.
 """
 
@@ -37,13 +36,12 @@ from .fracderiv import (
 from .funcmodel import (
     FuncExpr,
     derivative,
-    derivative_chain,
     evaluate,
     evaluate_many,
     poly_product,
     polynomial_degree,
 )
-from .specfun import FracOrder, as_order, frac_binomial
+from .specfun import FracOrder, _as_count, as_order, frac_binomial
 
 __all__ = [
     "RULE_INTEGER_SUM",
@@ -130,34 +128,38 @@ def _leibniz_sum(fvals, gvals, n):
     return total
 
 
-def _product_nth_values(fs, gs, n):
+def _derivatives(h, n):
+    """[h, h', ..., h^(n)], each one exact ``derivative`` call."""
+    return [derivative(h, k) for k in range(n + 1)]
+
+
+def _product_nth_values(fs, gs):
     """Callable sampling (fg)^(n) via the integer Leibniz expansion of the
-    symbolic factor derivatives fs[j] = f^(j) and gs[j] = g^(j), j <= n
-    (exact derivatives)."""
+    exact factor derivatives fs = [f, ..., f^(n)] and gs = [g, ..., g^(n)]."""
 
     def values(zs):
-        return _leibniz_sum([evaluate_many(f, zs) for f in fs[:n + 1]],
-                            [evaluate_many(g, zs) for g in gs[:n + 1]], n)
+        return _leibniz_sum([evaluate_many(f, zs) for f in fs],
+                            [evaluate_many(g, zs) for g in gs], len(fs) - 1)
 
     return values
 
 
-def _d_product(fs, gs, alpha, a, pts, cfg, kind):
-    """D^alpha(fg) at every point of pts, from the chains fs = [f, f', ...]
-    and gs = [g, g', ...] as far as derived: a product of two polynomials is
+def _d_product(f, g, alpha, a, pts, cfg, kind):
+    """D^alpha(fg) at every point of pts: a product of two polynomials is
     multiplied out for derivative_many; any other is one caputo_from_chain
-    call on the Leibniz-expanded chain (fg)^(k), each factor derived once."""
+    call on the Leibniz-expanded (fg)^(n), each f^(j) and g^(j), j <= n,
+    derived once."""
     try:
-        fg = poly_product(fs[0], gs[0])
+        fg = poly_product(f, g)
     except UnsupportedProduct:
-        fs = derivative_chain(fs, alpha.n)
-        gs = derivative_chain(gs, alpha.n)
-        chain = [_product_nth_values(fs, gs, k) for k in range(alpha.n + 1)]
+        n = alpha.n
+        fs, gs = _derivatives(f, n), _derivatives(g, n)
         at_a = None
         if kind == KIND_RL:  # (fg)^(k)(a), k < n, from one sample of each f^(j), g^(j)
             fa, ga = ([float(evaluate_many(d, [a])[0]) for d in ds[:-1]] for ds in (fs, gs))
-            at_a = [_leibniz_sum(fa, ga, k) for k in range(alpha.n)]
-        return caputo_from_chain(chain, [alpha.alpha], a, pts, cfg, at_a)[0][0].tolist()
+            at_a = [_leibniz_sum(fa, ga, k) for k in range(n)]
+        nth = {n: _product_nth_values(fs, gs)}
+        return caputo_from_chain(nth, [alpha.alpha], a, pts, cfg, at_a)[0][0].tolist()
     return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 
@@ -169,7 +171,7 @@ def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
     a = float(a)
     x = float(x)
     _check_interval(a, (x,))
-    return _d_product([f], [g], alpha, a, (x,), cfg, KIND_RL)[0]
+    return _d_product(f, g, alpha, a, (x,), cfg, KIND_RL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +193,9 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     a = float(a)
     pts = tuple(float(p) for p in points)
     _check_interval(a, pts)
-    (df, _, _, fs), (dg, _, _, gs) = (_derivative_rows(h, [alpha.alpha], a, pts, cfg, kind)
-                                      for h in (f, g))
-    # the chains derived for D^alpha f and D^alpha g go on to D^alpha(fg)
-    dfg = _d_product(fs, gs, alpha, a, pts, cfg, kind)
-    df, dg = df[0].tolist(), dg[0].tolist()
+    df, dg = (_derivative_rows(h, [alpha.alpha], a, pts, cfg, kind)[0][0].tolist()
+              for h in (f, g))
+    dfg = _d_product(f, g, alpha, a, pts, cfg, kind)
     defects = [dfg[i] - df[i] * evaluate(g, x) - evaluate(f, x) * dg[i]
                for i, x in enumerate(pts)]
     return LeibnizReport(
@@ -210,13 +210,11 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
 def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
     """Finite product-rule sum at integer order n:
     sum_k C(n, k) f^(n-k)(x) g^(k)(x), with exact binomials and derivatives."""
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _as_count(n, "n", positive=True)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
-    nth = _product_nth_values(derivative_chain([f], n), derivative_chain([g], n), n)
+    nth = _product_nth_values(_derivatives(f, n), _derivatives(g, n))
     return float(nth([x])[0])
 
 
@@ -237,9 +235,7 @@ def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizRe
         raise DomainError(f"evaluation points must be finite, got {pts!r}")
     exact = derivative(poly_product(f, g), alpha.n)
     exact_values = [evaluate(exact, x) for x in pts]  # DomainError on overflow
-    fs = derivative_chain([f], alpha.n)
-    gs = derivative_chain([g], alpha.n)
-    sums = _product_nth_values(fs, gs, alpha.n)(pts).tolist()
+    sums = _product_nth_values(_derivatives(f, alpha.n), _derivatives(g, alpha.n))(pts).tolist()
     defects = [e - s for e, s in zip(exact_values, sums)]
     return LeibnizReport(
         alpha=alpha,
@@ -270,22 +266,16 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
             K = degf + degg
         else:
             K = _DEFAULT_TRUNCATION
-    if K != int(K) or K < 0:
-        raise DomainError(f"K must be a non-negative integer, got {K!r}")
-    K = int(K)
+    K = _as_count(K, "K")
     binomials = [0.5 * frac_binomial(alpha.alpha, k) for k in range(K + 1)]
     # b is zero exactly for the k past an integer alpha, so the k whose
     # terms live are 0 .. live - 1
     live = next((k for k, b in enumerate(binomials) if b == 0.0), K + 1)
     orders = [alpha.alpha - k for k in range(live)]
-    rows, chains = [], []
-    for h in (f, g):
-        values, _, _, chain = _derivative_rows(h, orders, a, (x,), cfg, KIND_RL)
-        rows.append(values[:, 0].tolist())
-        # the chain the integrals took goes on to the h^(k), k < live, of the terms
-        chains.append(derivative_chain(chain, live - 1))
-    (df, dg), (fs, gs) = rows, chains
-    terms = [b * (df[k] * evaluate(gs[k], x) + dg[k] * evaluate(fs[k], x))
+    df, dg = (_derivative_rows(h, orders, a, (x,), cfg, KIND_RL)[0][:, 0].tolist()
+              for h in (f, g))
+    terms = [b * (df[k] * evaluate(derivative(g, k), x)
+                  + dg[k] * evaluate(derivative(f, k), x))
              for k, b in enumerate(binomials[:live])]
     terms += [0.0] * (K + 1 - live)
     total = 0.0
@@ -306,7 +296,7 @@ def series_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     pts = tuple(float(p) for p in points)
     _check_interval(a, pts)
     series = [symmetrized_series(f, g, alpha, a, x, K, cfg) for x in pts]
-    refs = _d_product([f], [g], alpha, a, pts, cfg, KIND_RL)
+    refs = _d_product(f, g, alpha, a, pts, cfg, KIND_RL)
     defects = [ref - sr.value for ref, sr in zip(refs, series)]
     return LeibnizReport(
         alpha=alpha,

@@ -11,8 +11,8 @@ so the limit is 0 for every non-integer alpha and f^(n)(a) at alpha = n;
 the report carries both the fitted and the theoretical scaling so the two
 can be compared.  ``lfd_report_many`` scans one function at many orders at
 once: one ``derivative_many`` call over the scan points, one least-squares
-pass (``lfd_classify``) over its rows, one order per row, and one derivative
-chain f, f', ..., f^(max n) for their f^(n)(a); ``lfd_report`` is its
+pass (``lfd_classify``) over its rows, one order per row, and one exact
+derivative f^(n) for the f^(n)(a) of each distinct n; ``lfd_report`` is its
 one-order case.  Reports keep the scan as rows of floats.  ``lfd_verify``
 checks the dichotomy on one such scan: it decides, order by order, whether
 the limit is the one the theory gives.
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, InsufficientData, UnsupportedFunction
-from .fracderiv import QuadratureConfig, _derivative_rows, caputo_power_coefficient, split_powers
-from .funcmodel import FuncExpr, derivative_chain, evaluate, format_expr
-from .specfun import as_order, rgamma
+from .fracderiv import (QuadratureConfig, _check_interval, _derivative_rows,
+                        caputo_power_coefficient, split_powers)
+from .funcmodel import FuncExpr, derivative, evaluate, format_expr
+from .specfun import _as_count, as_order, rgamma
 
 __all__ = [
     "CLASS_DIVERGENT",
@@ -70,8 +71,7 @@ class ScanConfig:
             raise DomainError(f"h0 must be positive, got {self.h0!r}")
         if not 0.0 < self.ratio < 1.0:
             raise DomainError(f"ratio must lie in (0, 1), got {self.ratio!r}")
-        if self.count != int(self.count) or self.count < 1:
-            raise DomainError(f"count must be a positive integer, got {self.count!r}")
+        _as_count(self.count, "count", positive=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,12 +157,14 @@ def lfd_classify(xs, a: float, values, est_errors, alphas, exponent_tol: float =
     one closed-form least-squares pass fits log|value| on log(x - a) for all
     the orders.  Fewer than 2 fitted samples make a flat Zero scan with no
     fitted exponent.  Fewer than 4 usable samples at an order raise
-    InsufficientData, and an ``exponent_tol`` that is not finite and
-    non-negative raises DomainError."""
+    InsufficientData; an ``exponent_tol`` that is not finite and
+    non-negative, and points that are not all finite and past a finite a,
+    raise DomainError."""
     orders = [as_order(o) for o in alphas]
     _check_tol("exponent_tol", exponent_tol)
     x = np.asarray(xs, dtype=np.float64)
     xs, h = tuple(x.tolist()), x - a
+    _check_interval(a, xs)
     v = np.asarray(values, dtype=np.float64).reshape(len(orders), h.size)
     e = np.asarray(est_errors, dtype=np.float64).reshape(v.shape)
     usable = ~(e > np.abs(v))
@@ -234,10 +236,9 @@ def lfd_report_many(f: FuncExpr, alphas, a: float, cfg: ScanConfig = ScanConfig(
     """One ``lfd_report`` per order in ``alphas``, in their order, from one
     scan of f at all of them: one ``derivative_many`` call over the scan
     points and one ``lfd_classify`` call over its rows.  Each report's
-    theory_prefactor is f^(n)(a) / Gamma(n + 1 - alpha), from one chain f,
-    f', ..., f^(max n), the scan's own when f has no power term centered at
-    a; it is None for every n past a chain step that leaves the function
-    class, and for an n whose f^(n)(a) is singular or overflows.  A report
+    theory_prefactor is f^(n)(a) / Gamma(n + 1 - alpha), from one exact
+    f^(n) per distinct n; it is None for an n whose f^(n) leaves the function
+    class, and for one whose f^(n)(a) is singular or overflows.  A report
     equals the one-order report of its order, bit for bit.  DomainError,
     before any scanning, for an ``exponent_tol`` that is not finite and
     non-negative; also for an empty ``alphas`` or a bad order."""
@@ -251,13 +252,11 @@ def _scan(f, alphas, a, cfg, exponent_tol):
     orders = [as_order(o) for o in alphas]
     a = _base_point(a)
     xs = [a + cfg.h0 * cfg.ratio**k for k in range(cfg.count)]
-    values, est_errors, _, chain = _derivative_rows(f, [o.alpha for o in orders], a, xs,
-                                                     cfg.quad)
+    values, est_errors, _ = _derivative_rows(f, [o.alpha for o in orders], a, xs, cfg.quad)
     at_a = {}  # n -> f^(n)(a), None where it leaves the class or is not finite
     for n in sorted({o.n for o in orders}):
         try:
-            chain = derivative_chain(chain, n)
-            at_a[n] = evaluate(chain[n], a)
+            at_a[n] = evaluate(derivative(f, n), a)
         except DomainError:
             at_a[n] = None
     prefactors = [None if at_a[o.n] is None else at_a[o.n] * rgamma(o.n + 1.0 - o.alpha)

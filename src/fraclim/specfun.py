@@ -48,6 +48,18 @@ def as_order(alpha) -> FracOrder:
     return alpha if isinstance(alpha, FracOrder) else FracOrder(float(alpha))
 
 
+def _as_count(k, name: str, positive: bool = False) -> int:
+    """k as an int: DomainError unless it is a non-negative integer, or a
+    positive one, so also for a nan or an infinity."""
+    try:
+        if k == int(k) and k >= (1 if positive else 0):
+            return int(k)
+    except (OverflowError, ValueError):
+        pass
+    sign = "positive" if positive else "non-negative"
+    raise DomainError(f"{name} must be a {sign} integer, got {k!r}")
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -99,9 +111,7 @@ def frac_binomial(alpha: float, k: int) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    if k != int(k) or k < 0:
-        raise DomainError(f"k must be a non-negative integer, got {k!r}")
     value = 1.0
-    for j in range(int(k)):
+    for j in range(_as_count(k, "k")):
         value = value * (alpha - j) / (j + 1)
     return value

@@ -618,8 +618,9 @@ def test_deriv_result_invariant():
 def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(nodes=1)
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes=2.5)
+    for nodes in (2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            QuadratureConfig(nodes=nodes)
 
 
 @pytest.mark.parametrize("a,x", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0),

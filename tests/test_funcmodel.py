@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclim.exceptions import DomainError, ExprParseError, UnsupportedProduct
@@ -89,6 +89,36 @@ def test_derivative_fractional_power_limits():
     assert evaluate(d1, 4.0) == pytest.approx(0.25)
     with pytest.raises(DomainError):
         derivative(f, 2)  # exponent would drop to -1.5
+
+
+_COEF = st.floats(-1e6, 1e6).filter(bool)
+_TERMS = st.one_of(
+    st.builds(PowerTerm, _COEF, st.sampled_from([0.0, 1.0]),
+              st.one_of(st.integers(0, 8).map(float), st.floats(-0.99, 8.0))),
+    st.builds(SinTerm, _COEF, st.floats(-1e3, 1e3), st.floats(-10.0, 10.0)),
+    st.builds(CosTerm, _COEF, st.floats(-1e3, 1e3), st.floats(-10.0, 10.0)),
+    st.builds(ExpTerm, _COEF, st.floats(-1e3, 1e3)),
+)
+
+
+def _derived(f, *ks):
+    g = f
+    try:
+        for k in ks:
+            g = derivative(g, k)
+    except DomainError:
+        return DomainError
+    return g
+
+
+@given(st.lists(_TERMS, max_size=5).map(FuncExpr), st.integers(0, 12), st.integers(0, 12))
+@settings(max_examples=300)
+@example(FuncExpr([PowerTerm(5e-324, 0.0, 0.3)]), 1, 1)  # c beta underflows to 0
+def test_derivatives_compose(f, j, k):
+    # one pass of j + k equals k after j, float for float, and leaves the
+    # class (DomainError) exactly when they do; a term whose coefficient
+    # underflows to 0 is gone before its exponent could leave the class
+    assert _derived(f, j + k) == _derived(f, j, k)
 
 
 def test_canonicalization_merges_terms():

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclim.fracderiv
-import fraclim.funcmodel
 import fraclim.leibniz
 from fraclim.exceptions import DomainError, UnsupportedProduct
 from fraclim.fracderiv import (
@@ -513,47 +512,48 @@ def test_rl_product_samples_each_factor_derivative_once_at_a(monkeypatch):
     assert set(map(repr, at_a)) == {repr(derivative(SIN, j)) for j in range(3)} | {repr(EXP)}
 
 
-def test_products_derive_each_factor_once(monkeypatch):
-    steps = []
-    d1 = fraclim.funcmodel._d1
-
-    def counted_d1(f):
-        steps.append(f)
-        return d1(f)
-
-    monkeypatch.setattr(fraclim.funcmodel, "_d1", counted_d1)
+def test_products_derive_each_factor_once(derivative_builds):
     rl_of_product(SIN, EXP, 2.5, 0.0, 1.0)
     # f^(k) and g^(k), k = 1..3, once each, for the sampler of (fg)^(3) and
     # the boundary values (fg)^(k)(a) alike
-    assert len(steps) == 6
+    assert derivative_builds == [1, 2, 3, 1, 2, 3]
     for op in ("caputo", "rl"):
         for f in (SIN, X2 + SIN):
-            steps.clear()
+            derivative_builds.clear()
             leibniz_defect(f, EXP, 2.5, 0.0, (0.4, 1.1), operator=op)
-            # D^alpha f and D^alpha g take the series and derive no chain, so
+            # D^alpha f and D^alpha g take the series and derive nothing, so
             # f^(k) and g^(k) are derived once, for D^alpha(fg), also when f
             # mixes a power term with the rest
-            assert len(steps) == 6
-        steps.clear()
+            assert len(derivative_builds) == 6
+        derivative_builds.clear()
         leibniz_defect(SIN, EXP, 2.5, 0.0, (2.4, 3.1), operator=op)
-        # past the series' reach, the chains that D^alpha f and D^alpha g
-        # derive go on to D^alpha(fg)
-        assert len(steps) == 6
-    steps.clear()
+        # past the series' reach D^alpha f and D^alpha g also derive f^(3) and
+        # g^(3), and for RL f^(k) and g^(k), k < 3, for the boundary values
+        assert len(derivative_builds) == {"caputo": 8, "rl": 12}[op]
+    derivative_builds.clear()
     integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))
     # (fg)'' plus f', f'' and g', g'', whatever the number of points
-    assert len(steps) == 6
+    assert derivative_builds == [2, 1, 2, 1, 2]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.5])
-def test_series_derives_each_factor_once(monkeypatch, alpha):
-    steps = []
-    d1 = fraclim.funcmodel._d1
-    monkeypatch.setattr(fraclim.funcmodel, "_d1", lambda f: steps.append(f) or d1(f))
+def test_series_derives_each_factor_once(derivative_builds, alpha):
     symmetrized_series(SIN, parse_expr("exp(c=1,lam=2)"), alpha, 0.0, 1.0, K=12)
-    # f^(k) and g^(k), k = 1..12, once each: the chains the integrals take up
-    # to ceil(alpha) go on to the f^(k)(x) of the terms
-    assert len(steps) == 24
+    # within the series' reach the integrals derive nothing; g^(k) and f^(k),
+    # k = 1..12, are derived once each, for the f^(k)(x) of the terms
+    assert derivative_builds == [k for k in range(1, 13) for _ in "gf"]
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 1.5, -1])
+@pytest.mark.parametrize("call", [
+    lambda k: derivative(SIN, k),
+    lambda k: frac_binomial(0.5, k),
+    lambda k: symmetrized_series(SIN, EXP, 0.5, 0.0, 1.0, K=k),
+    lambda k: integer_leibniz(SIN, EXP, k, 1.0),
+], ids=["derivative", "frac_binomial", "symmetrized_series", "integer_leibniz"])
+def test_a_count_that_is_not_an_integer_is_a_domain_error(call, count):
+    with pytest.raises(DomainError, match=f"integer, got {count!r}$"):
+        call(count)
 
 
 def test_results_hold_python_floats():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fraclim import fracderiv, funcmodel, lfd
+from fraclim import fracderiv, lfd
 from fraclim.cli import main, read_corpus
 from fraclim.exceptions import DomainError, InsufficientData, UnsupportedFunction
 from fraclim.fracderiv import (
@@ -168,8 +168,19 @@ def test_scan_config_validation():
         ScanConfig(h0=0.0)
     with pytest.raises(DomainError):
         ScanConfig(ratio=1.0)
-    with pytest.raises(DomainError):
-        ScanConfig(count=0)
+    for count in (0, math.nan, math.inf, -math.inf, 1.5, -1):
+        with pytest.raises(DomainError, match="^count must be a positive integer"):
+            ScanConfig(count=count)
+
+
+def test_classify_checks_its_points():
+    # a point at a would put log(0) into the fit, and an infinite a makes
+    # every offset infinite: neither is a scan
+    xs, values, ests = [0.0, 0.1, 0.2, 0.3, 0.4], [[1e-3, 1, 2, 3, 4]], [[0.0] * 5]
+    with pytest.raises(DomainError, match="must satisfy x > a"):
+        lfd_classify(xs, 0.0, values, ests, [0.5])
+    with pytest.raises(DomainError, match="must be finite"):
+        lfd_classify(xs, math.inf, values, ests, [0.5])
 
 
 def test_scan_reaches_offset_1e_200():
@@ -492,32 +503,30 @@ def test_corpus_scan_makes_one_scan_and_one_fit_per_entry(monkeypatch):
     assert cores == 2
 
 
-@pytest.mark.parametrize("f, steps", [(SIN, 3), (parse_expr("pow(c=1,x0=0,beta=3.5)"), 3),
-                                      (parse_expr("pow(c=1,x0=0,beta=3.5) + sin(c=1,w=1)"), 6)])
-def test_scan_chain_serves_the_prefactors_when_f_is_all_rest(monkeypatch, f, steps):
-    # with no power term centered at a, the chain the scan derived for the
-    # rest is the chain of f up to f^(3) that the theory prefactors need;
-    # from h0 = 3.2 the first scan points of sin are past the series' reach,
-    # and take the integral on that chain
-    _check_prefactor_steps(monkeypatch, f, 3.2, steps)
+POW35 = parse_expr("pow(c=1,x0=0,beta=3.5)")
 
 
-@pytest.mark.parametrize("f, steps", [(SIN, 3),
-                                      (parse_expr("pow(c=1,x0=0,beta=3.5) + sin(c=1,w=1)"), 4)])
-def test_series_scan_derives_only_the_integer_orders_chain(monkeypatch, f, steps):
+@pytest.mark.parametrize("f, builds", [(SIN, 4), (POW35, 2), (POW35 + SIN, 4)],
+                         ids=["f0-3", "f1-3", "f2-6"])
+def test_scan_chain_serves_the_prefactors_when_f_is_all_rest(derivative_builds, f, builds):
+    # from h0 = 3.2 the first scan points of sin are past the series' reach
+    # and take the integral on the rest's f^(1) and f^(3); the prefactors
+    # take f^(1) and f^(3) of f; a power term centered at a takes the power
+    # rule and derives nothing
+    _check_prefactor_builds(derivative_builds, f, 3.2, builds)
+
+
+@pytest.mark.parametrize("f, builds", [(SIN, 3), (POW35 + SIN, 3)], ids=["f0-3", "f1-4"])
+def test_series_scan_derives_only_the_integer_orders_chain(derivative_builds, f, builds):
     # from h0 = 0.1 sin takes the series at every point: only the integer
-    # order 1 derives the rest's first derivative, and the prefactors derive
-    # f's chain, which for sin alone goes on from that one
-    _check_prefactor_steps(monkeypatch, f, 0.1, steps)
+    # order 1 derives the rest's f^(1), and the prefactors f^(1) and f^(3)
+    _check_prefactor_builds(derivative_builds, f, 0.1, builds)
 
 
-def _check_prefactor_steps(monkeypatch, f, h0, steps):
-    calls = []
-    monkeypatch.setattr(funcmodel, "derivative",
-                        lambda g, k, _fn=funcmodel.derivative: calls.append(k) or _fn(g, k))
+def _check_prefactor_builds(derivative_builds, f, h0, builds):
     cfg = ScanConfig(h0=h0, ratio=0.5, count=16, quad=QuadratureConfig(nodes=512))
     reps = lfd_report_many(f, [0.5, 1.0, 2.5], 0.0, cfg)
-    assert len(calls) == steps
+    assert len(derivative_builds) == builds
     assert [r.theory_prefactor for r in reps] == [
         evaluate(derivative(f, n), 0.0) * rgamma(n + 1.0 - al)
         for n, al in ((1, 0.5), (1, 1.0), (3, 2.5))]

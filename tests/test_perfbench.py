@@ -11,6 +11,8 @@ they read.
 import importlib.util
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -144,3 +146,38 @@ def test_benchmark_outputs_pass_its_check(gate, workload):
     assert tally.wrong <= GATE_WRONG[workload]
     if workload == "scan-quad":
         assert tally.est_miss == 0
+
+
+def _outcome(call):
+    """A call's outcome as the worker records it: its JSON, or the name of
+    the exception it raised."""
+    try:
+        return json.dumps(call())
+    except Exception as exc:
+        return json.dumps({"error": type(exc).__name__})
+
+
+@pytest.mark.parametrize("workload, inputs", [("scan-quad", 40), ("leibniz-series", 40),
+                                              ("verify-serial", 1)])
+def test_traced_calls_equal_untraced_ones(perfbench, workload, inputs, monkeypatch):
+    # the tracer wraps every name in each layer's __all__ at every binding:
+    # its runs must give the untraced outcomes, and its spans must fold
+    worker, tracer = perfbench
+    monkeypatch.chdir(ROOT)
+    items = worker.workloads.items(workload, 1)[:inputs]
+    calls = worker.build_calls(workload, items, fraclim)
+    t, stats = tracer.Tracer(), tracer.LayerStats()
+    for call in calls:
+        untraced = _outcome(call)
+        t.install()
+        try:
+            t0 = time.perf_counter()
+            traced = _outcome(call)
+            wall = time.perf_counter() - t0
+        finally:
+            t.uninstall()
+        assert traced == untraced
+        stats.add_call(t.take(), wall, threading.get_ident())
+    metrics = stats.metrics(1.0)
+    assert stats.calls == len(calls)
+    assert metrics["funcmodel.derivative_calls"][0] > 0
