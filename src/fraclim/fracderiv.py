@@ -3,14 +3,14 @@
 One route computes both, for many orders and points: ``derivative_many``.
 It splits f (``split_powers``) into the power terms centered at the base
 point, which take the exact power rule (``power_rule``), and a rest.  A rest
-of sin, cos and exp terms is a sum of exponentials e^(lam x), whose Caputo
-derivative has the closed form
+of exponential terms is the real part of a sum of complex exponentials
+C e^(z x), z = lam + i w, whose Caputo derivative has the closed form
 
-    lam^n e^(lam a) h^(n - alpha) E_{1, n+1-alpha}(lam h)
+    C z^n e^(z a) h^(n - alpha) E_{1, n+1-alpha}(z h)
         = sum_{k>=n} f^(k)(a) h^(k - alpha) / Gamma(k + 1 - alpha),
 
 h = x - a, with E the Mittag-Leffler function.  Wherever rate * h <= 2,
-rate the largest |w| or |lam| of the rest, ``derivative_many`` sums that
+rate the largest |z| of the rest, ``derivative_many`` sums that
 series over 26 terms, from the exact jets f^(k)(a) (``_series_rows``), with
 an estimate that bounds its rounding and its tail; the method is then
 SpecialFunction.  At every other point, and for a rest that holds a power
@@ -46,15 +46,7 @@ from functools import partial
 import numpy as np
 
 from .exceptions import DomainError
-from .funcmodel import (
-    ExpTerm,
-    FuncExpr,
-    PowerTerm,
-    SinTerm,
-    derivative,
-    evaluate,
-    evaluate_many,
-)
+from .funcmodel import FuncExpr, PowerTerm, derivative, evaluate, evaluate_many
 from .kernels import legendre_moments, legendre_rule
 from .specfun import FracOrder, as_order, gamma, rgamma
 
@@ -340,55 +332,55 @@ def _check_finite(values, a, xs):
 # ---------------------------------------------------------------------------
 # the Taylor series of a smooth rest
 
-# A rest of sin, cos and exp terms takes its Taylor series about a at every
-# point with rate * (x - a) <= _SERIES_REACH, rate the largest |w| or |lam| of
-# its terms, over _SERIES_TERMS terms: the smallest K with 2^K / K! < 2^-60.
+# A rest of exponential terms takes its Taylor series about a at every point
+# with rate * (x - a) <= _SERIES_REACH, rate the largest |lam + i w| of its
+# terms, over _SERIES_TERMS terms: the smallest K with 2^K / K! < 2^-60.
 _SERIES_REACH = 2.0
 _SERIES_TERMS = 26
 
 
 def _rate(rest):
-    """The largest |w| or |lam| of a rest of sin, cos and exp terms; None
-    when it holds a power term."""
+    """The largest |lam + i w| of a rest of exponential terms; None when it
+    holds a power term."""
     if any(isinstance(t, PowerTerm) for t in rest.terms):
         return None
-    return max(abs(t.rate if isinstance(t, ExpTerm) else t.omega) for t in rest.terms)
+    return max(math.hypot(t.lam, t.w) for t in rest.terms)
 
 
 def _jets(rest, a, rate, taylor, top):
-    """The jets of a rest of sin, cos and exp terms at a, from their closed
-    forms: sine and cosine cycle with k mod 4, scaled by w^k, and exp scales by
-    lam^k, each power a repeated product as ``derivative`` takes it.
-    Returns (jets, scaled, bound, spread): ``jets[k]`` is rest^(k)(a), k <
-    ``taylor``; ``scaled[k]`` is rest^(k)(a) / rate^k and ``bound[k]`` its
-    majorant sum_t |c_t| |w_t / rate|^k (|c_t| e^(lam_t a) for exp), k <=
-    ``top``; ``spread`` is the largest |w a + phi| or |lam a|, the scale of
-    the rounding of the terms' arguments.  OverflowError when an e^(lam a)
+    """The jets of a rest of exponential terms at a, from their closed forms:
+    with p + i q = c z^k, z = lam + i w, as k complex products, the k-th
+    derivative of c e^(lam x) cos(w x + phi) at a is e^(lam a) (p cos -
+    q sin)(w a + phi), and of the sine e^(lam a) (q cos + p sin)(w a + phi).
+    For a pure term (lam or w 0) p and q are ``derivative``'s coefficients,
+    up to the sign of a zero, until one overflows: the jet is then nan where
+    ``derivative`` keeps +-inf, and either way ``_check_finite`` raises
+    DomainError on the row.  Returns (jets, scaled, bound, spread):
+    ``jets[k]`` is rest^(k)(a), k < ``taylor``; ``scaled[k]`` is
+    rest^(k)(a) / rate^k, from the powers of z / rate, and ``bound[k]`` its
+    majorant sum_t |c_t| e^(lam_t a) |z_t / rate|^k, k <= ``top``;
+    ``spread`` is the largest |lam a| or |w a + phi|, the scale of the
+    rounding of the terms' arguments.  OverflowError when an e^(lam a)
     overflows."""
     jets, scaled, bound, spread = [0.0] * taylor, [0.0] * (top + 1), [0.0] * (top + 1), 0.0
+    norm = rate or 1.0
     for t in rest.terms:
-        if isinstance(t, ExpTerm):
-            w, arg = t.rate, t.rate * a
-            e = math.exp(arg)
-            cycle, size = (e, e, e, e), abs(t.c) * e
-        else:
-            w, arg = t.omega, t.omega * a + t.phi
-            s, c = math.sin(arg), math.cos(arg)
-            cycle = (s, c, -s, -c) if isinstance(t, SinTerm) else (c, -s, -c, s)
-            size = abs(t.c)
-        spread = max(spread, abs(arg))
-        cycle *= top // 4 + 1
-        coef = t.c
+        lam, w = t.lam, t.w
+        e, arg = math.exp(lam * a), w * a + t.phi
+        s, c = math.sin(arg) * e, math.cos(arg) * e
+        cp, cq = (s, c) if t.sine else (c, -s)  # the jet is p * cp + q * cq
+        spread = max(spread, abs(lam * a), abs(arg))
+        p, q = t.c, 0.0
         for k in range(taylor):
-            jets[k] += coef * cycle[k]
-            coef *= w
-        coef, ratio = t.c, w / (rate or 1.0)
-        size_ratio = abs(ratio)
+            jets[k] += p * cp + q * cq
+            p, q = p * lam - q * w, p * w + q * lam
+        # the same products with z / rate, and the majorant's terms
+        zr, zi, ratio = lam / norm, w / norm, math.hypot(lam, w) / norm
+        p, q, size = t.c, 0.0, abs(t.c) * e
         for k in range(top + 1):
-            scaled[k] += coef * cycle[k]
+            scaled[k] += p * cp + q * cq
             bound[k] += size
-            coef *= ratio
-            size *= size_ratio
+            p, q, size = p * zr - q * zi, p * zi + q * zr, size * ratio
     return jets, scaled, bound, spread
 
 
@@ -397,7 +389,7 @@ _POWERS = np.arange(_SERIES_TERMS + 1.0)
 
 
 def _series_rows(rest, rate, orders, a, xs, kind=KIND_CAPUTO):
-    """Derivatives of a rest of sin, cos and exp terms at the non-integer
+    """Derivatives of a rest of exponential terms at the non-integer
     ``orders``, at every x in ``xs`` with rate * (x - a) <= _SERIES_REACH, as
     two (orders x points) arrays, the values and their estimates: the series
 
@@ -462,9 +454,9 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     list of them: each of the three then holds one entry per order.  An RL
     order may be any real number, a negative one a fractional integral.
 
-    The ``parts`` of split_powers(f, a) take ``power_rule``.  A rest of sin,
-    cos and exp terms takes its Taylor series (``_series_rows``) at every x
-    with rate * (x - a) <= 2, rate its largest |w| or |lam|; the rest's other
+    The ``parts`` of split_powers(f, a) take ``power_rule``.  A rest of
+    exponential terms takes its Taylor series (``_series_rows``) at every x
+    with rate * (x - a) <= 2, rate its largest |lam + i w|; the rest's other
     points, and a rest with a power term, take one ``caputo_from_chain`` call
     over all the orders, on the rest^(n) of each derivative count n, given the
     rest^(k)(a) for RL.  An integer order is the exact row rest^(n)(x) at

@@ -1,9 +1,11 @@
-"""Exact function model: finite sums of power, sine, cosine and exponential
-terms.
+"""Exact function model: finite sums of power terms c (x - x0)^beta and
+exponential terms c e^(lam x) cos(w x + phi) or c e^(lam x) sin(w x + phi).
 
-The class is closed under integer-order differentiation, which is exactly
-what the fractional operators need: the singular-kernel integral consumes
-the analytic n-th derivative, never a finite difference.  Expressions keep a
+An exponential term is the real or imaginary part of c e^(i phi) e^(z x),
+z = lam + i w, whose k-th derivative is c z^k e^(i phi) e^(z x): the class is
+closed under integer-order differentiation, which is exactly what the
+fractional operators need, as the singular-kernel integral consumes the
+analytic n-th derivative, never a finite difference.  Expressions keep a
 stable canonical form (like terms collected, zero terms pruned, deterministic
 term order) so equality tests are meaningful.
 """
@@ -20,11 +22,9 @@ from .exceptions import DomainError, ExprParseError, UnsupportedProduct
 from .specfun import _as_count
 
 __all__ = [
-    "CosTerm",
     "ExpTerm",
     "FuncExpr",
     "PowerTerm",
-    "SinTerm",
     "derivative",
     "evaluate",
     "evaluate_many",
@@ -52,53 +52,39 @@ class PowerTerm:
             raise DomainError(f"power exponent must exceed -1, got {self.beta!r}")
 
 
-@dataclass(frozen=True)
-class SinTerm:
-    """c * sin(omega * x + phi)"""
-
-    c: float
-    omega: float
-    phi: float = 0.0
-
-
-@dataclass(frozen=True)
-class CosTerm:
-    """c * cos(omega * x + phi)"""
-
-    c: float
-    omega: float
-    phi: float = 0.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpTerm:
-    """c * exp(rate * x)"""
+    """c * exp(lam * x) * cos(w * x + phi), or sin(w * x + phi) when ``sine``
+    is set: the real or the imaginary part of c e^(i phi) e^((lam + i w) x).
+    The grammar's sin and cos are its terms with lam = 0 by default, and exp
+    its cosine with w = phi = 0."""
 
     c: float
-    rate: float
+    lam: float = 0.0
+    w: float = 0.0
+    phi: float = 0.0
+    sine: bool = False
+
+
+def _is_plain_exp(t):
+    """Whether an ExpTerm is a plain exponential c e^(lam x): w = phi = 0, no sine."""
+    return not (t.sine or t.w or t.phi)
 
 
 def _term_key(t):
     if isinstance(t, PowerTerm):
         return (0, t.x0, t.beta)
-    if isinstance(t, SinTerm):
-        return (1, t.omega, t.phi)
-    if isinstance(t, CosTerm):
-        return (2, t.omega, t.phi)
-    if isinstance(t, ExpTerm):
-        return (3, t.rate, 0.0)
-    raise TypeError(f"not a term: {t!r}")
+    # the sines, then the cosines, then the plain exponentials
+    if _is_plain_exp(t):
+        return (3, t.lam)
+    return (1 if t.sine else 2, t.w, t.phi, t.lam)
 
 
-def _rebuild(key, c):
-    kind = key[0]
-    if kind == 0:
-        return PowerTerm(c, key[1], key[2])
-    if kind == 1:
-        return SinTerm(c, key[1], key[2])
-    if kind == 2:
-        return CosTerm(c, key[1], key[2])
-    return ExpTerm(c, key[1])
+def _rebuild(t, c):
+    """The term t with coefficient c."""
+    if isinstance(t, PowerTerm):
+        return PowerTerm(c, t.x0, t.beta)
+    return ExpTerm(c, t.lam, t.w, t.phi, t.sine)
 
 
 class FuncExpr:
@@ -111,9 +97,9 @@ class FuncExpr:
         for t in terms:
             k = _term_key(t)
             if k in acc:
-                acc[k] = _rebuild(k, acc[k].c + float(t.c))
+                acc[k] = _rebuild(acc[k], acc[k].c + float(t.c))
             else:
-                acc[k] = t if type(t.c) is float else _rebuild(k, float(t.c))
+                acc[k] = t if type(t.c) is float else _rebuild(t, float(t.c))
         self.terms = tuple(t for _, t in sorted(acc.items()) if t.c != 0.0)
 
     def is_zero(self) -> bool:
@@ -132,7 +118,7 @@ class FuncExpr:
 
     def __mul__(self, s):
         if isinstance(s, (int, float)):
-            return FuncExpr(tuple(_rebuild(_term_key(t), t.c * s) for t in self.terms))
+            return FuncExpr(tuple(_rebuild(t, t.c * s) for t in self.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -172,11 +158,10 @@ def _term_value(t, x):
         if u == 0.0 and t.beta < 0.0:
             raise DomainError(f"(x - x0)**{t.beta} is singular at x = x0 = {t.x0!r}")
         return t.c * u ** t.beta
-    if isinstance(t, SinTerm):
-        return t.c * math.sin(t.omega * x + t.phi)
-    if isinstance(t, CosTerm):
-        return t.c * math.cos(t.omega * x + t.phi)
-    return t.c * math.exp(t.rate * x)
+    if _is_plain_exp(t):
+        return t.c * math.exp(t.lam * x)
+    v = t.c * (math.sin if t.sine else math.cos)(t.w * x + t.phi)
+    return v * math.exp(t.lam * x) if t.lam else v
 
 
 def evaluate_many(f: FuncExpr, xs) -> np.ndarray:
@@ -198,12 +183,12 @@ def evaluate_many(f: FuncExpr, xs) -> np.ndarray:
                         f"(x - x0)**{t.beta} is singular at x = x0 = {t.x0!r}"
                     )
                 out += t.c * np.power(u, t.beta)
-        elif isinstance(t, SinTerm):
-            out += t.c * np.sin(t.omega * xs + t.phi)
-        elif isinstance(t, CosTerm):
-            out += t.c * np.cos(t.omega * xs + t.phi)
+        elif _is_plain_exp(t):
+            out += t.c * np.exp(t.lam * xs)
+        elif t.lam:
+            out += t.c * (np.sin if t.sine else np.cos)(t.w * xs + t.phi) * np.exp(t.lam * xs)
         else:
-            out += t.c * np.exp(t.rate * xs)
+            out += t.c * (np.sin if t.sine else np.cos)(t.w * xs + t.phi)
     return out
 
 
@@ -213,11 +198,11 @@ def evaluate_many(f: FuncExpr, xs) -> np.ndarray:
 
 def derivative(f: FuncExpr, k: int) -> FuncExpr:
     """Exact k-th derivative, staying inside the representable class, in one
-    pass over the terms: sin and cos cycle with k mod 4, scaled by w^k, exp
-    scales by lam^k, and a power takes the falling factorial
-    beta (beta - 1) ... (beta - k + 1).  Each coefficient is built as the k
-    products that k first derivatives take, in their order, so the result
-    equals them bit for bit.
+    pass over the terms: an exponential term's coefficient becomes c z^k,
+    z = lam + i w, split into a cosine and a sine, and a power takes the
+    falling factorial beta (beta - 1) ... (beta - k + 1).  Each coefficient is
+    built as the k products that k first derivatives take, in their order, so
+    the result equals them bit for bit wherever lam or w is 0.
 
     Raises DomainError if a fractional power would leave the class, i.e. a
     resulting exponent would drop to -1 or below.
@@ -225,34 +210,53 @@ def derivative(f: FuncExpr, k: int) -> FuncExpr:
     k = _as_count(k, "derivative order")
     if k == 0:
         return f
-    return FuncExpr([d for t in f.terms if (d := _term_derivative(t, k)) is not None])
+    return FuncExpr([d for t in f.terms for d in _term_derivative(t, k)])
 
 
 def _term_derivative(t, k):
-    """The k-th derivative of one term, k >= 1; None once it vanishes."""
+    """The k-th derivative of one term, k >= 1, as a list of its non-zero terms."""
     c = t.c
     if isinstance(t, PowerTerm):
         beta = t.beta
         for _ in range(k):
             if c == 0.0 or beta == 0.0:
-                return None
+                return []
             if not _is_int(beta) and beta - 1.0 <= -1.0:
                 raise DomainError(
                     f"derivative leaves the representable class: exponent "
                     f"{beta - 1.0} <= -1"
                 )
             c, beta = c * beta, beta - 1.0
-        return PowerTerm(c, t.x0, beta)
-    if isinstance(t, ExpTerm):
+        return [PowerTerm(c, t.x0, beta)]
+    # p + i q = c z^k, built so that a coefficient that overflows is +-inf,
+    # never nan: a pure term takes c w ... w or c lam ... lam (no inf * 0),
+    # and a damped one c times the powers of z / |z|, then k products by |z|
+    # (no inf - inf), with |z| / 2 = h, which never overflows
+    lam, w, p, q = t.lam, t.w, c, 0.0
+    if lam and w:
+        h = math.hypot(lam * 0.5, w * 0.5)
+        ur, ui, p = lam * 0.5 / h, w * 0.5 / h, 1.0
         for _ in range(k):
-            c *= t.rate
-        return ExpTerm(c, t.rate)
-    for _ in range(k):
-        c *= t.omega
-    # sin -> cos -> -sin -> -cos -> sin; cos is sin a quarter turn on
-    quarter = k + isinstance(t, CosTerm)
-    kind = SinTerm if quarter % 2 == 0 else CosTerm
-    return kind(-c if quarter % 4 >= 2 else c, t.omega, t.phi)
+            p, q = p * ur - q * ui, p * ui + q * ur
+        p, q = c * p, c * q
+        for _ in range(k):
+            p, q = p * h * 2.0, q * h * 2.0
+    elif w:
+        for _ in range(k):
+            p, q = -q * w, p * w
+    else:
+        for _ in range(k):
+            p *= lam
+    # of (p + i q) e^(i (w x + phi)): a cosine keeps the real part,
+    # p cos - q sin, and a sine the imaginary part, q cos + p sin
+    if t.sine:
+        p, q = q, -p
+    terms = []
+    if p:
+        terms.append(ExpTerm(p, lam, w, t.phi))
+    if q:
+        terms.append(ExpTerm(-q, lam, w, t.phi, True))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +307,12 @@ def _poly_parts(f, which):
 
 
 # ---------------------------------------------------------------------------
-# text grammar:  pow(c=1,x0=0,beta=2.5) + sin(c=1,w=2,phi=0)
+# text grammar:  pow(c=1,x0=0,beta=2.5) + sin(c=1,w=2,phi=0,lam=-1) + exp(c=1,lam=2)
 
 _TERM_FIELDS = {
     "pow": (("c", 1.0), ("x0", 0.0), ("beta", None)),
-    "sin": (("c", 1.0), ("w", None), ("phi", 0.0)),
-    "cos": (("c", 1.0), ("w", None), ("phi", 0.0)),
+    "sin": (("c", 1.0), ("w", None), ("phi", 0.0), ("lam", 0.0)),
+    "cos": (("c", 1.0), ("w", None), ("phi", 0.0), ("lam", 0.0)),
     "exp": (("c", 1.0), ("lam", None)),
 }
 
@@ -371,11 +375,7 @@ def parse_expr(text: str, field: str | None = None) -> FuncExpr:
 def _make_term(name, kw):
     if name == "pow":
         return PowerTerm(kw["c"], kw["x0"], kw["beta"])
-    if name == "sin":
-        return SinTerm(kw["c"], kw["w"], kw["phi"])
-    if name == "cos":
-        return CosTerm(kw["c"], kw["w"], kw["phi"])
-    return ExpTerm(kw["c"], kw["lam"])
+    return ExpTerm(kw["c"], kw["lam"], kw.get("w", 0.0), kw.get("phi", 0.0), name == "sin")
 
 
 def _split_terms(s, fail):
@@ -407,10 +407,9 @@ def format_expr(f: FuncExpr) -> str:
     for t in f.terms:
         if isinstance(t, PowerTerm):
             chunks.append(f"pow(c={t.c!r},x0={t.x0!r},beta={t.beta!r})")
-        elif isinstance(t, SinTerm):
-            chunks.append(f"sin(c={t.c!r},w={t.omega!r},phi={t.phi!r})")
-        elif isinstance(t, CosTerm):
-            chunks.append(f"cos(c={t.c!r},w={t.omega!r},phi={t.phi!r})")
+        elif _is_plain_exp(t):
+            chunks.append(f"exp(c={t.c!r},lam={t.lam!r})")
         else:
-            chunks.append(f"exp(c={t.c!r},lam={t.rate!r})")
+            lam = f",lam={t.lam!r}" if t.lam else ""
+            chunks.append(f"{'sin' if t.sine else 'cos'}(c={t.c!r},w={t.w!r},phi={t.phi!r}{lam})")
     return " + ".join(chunks)

@@ -90,29 +90,27 @@ def _power(beta, a):
 
 def _taylor_caputo(terms, alpha, a, x, majorant=False):
     """mpmath oracle for the Caputo derivative of a sum of ``terms``, each
-    (kind, c, w, phi) for c sin(w x + phi), c cos(w x + phi) or, phi unused,
-    c exp(w x): the series sum_{k>=n} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
-    n = max(ceil(alpha), 0), summed in 40 digits until its terms are below
+    (c, lam, w, phi, sine) for c e^(lam x) cos(w x + phi), or sin(w x + phi)
+    when ``sine`` is set: the real or imaginary part of c e^(i phi) e^(z x),
+    z = lam + i w, with f^(k)(a) from c z^k e^(i phi) e^(z a).  The series
+    sum_{k>=n} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
+    n = max(ceil(alpha), 0), is summed in 40 digits until its terms are below
     1e-30 of its largest.  A negative alpha gives the fractional integral.
     With ``majorant``, (the sum, the sum of its terms' bounds
-    sum_t |c_t| |w_t|^k (e^(w_t a) for exp) (x-a)^(k-alpha) / Gamma(k+1-alpha))."""
+    sum_t |c_t| |z_t|^k e^(lam_t a) (x-a)^(k-alpha) / Gamma(k+1-alpha))."""
     with mp.workdps(40):
         n = max(math.ceil(alpha), 0)
         alpha, a, h = mp.mpf(alpha), mp.mpf(a), mp.mpf(x) - mp.mpf(a)
         total, largest, bounds, k = mp.mpf(0), mp.mpf(0), mp.mpf(0), n
         while True:
-            fk = mp.mpf(0)
-            for kind, c, w, phi in terms:
-                c, w, phi = mp.mpf(c), mp.mpf(w), mp.mpf(phi)
-                if kind == "exp":
-                    fk += c * w**k * mp.exp(w * a)
-                else:
-                    trig = mp.sin if kind == "sin" else mp.cos
-                    fk += c * w**k * trig(w * a + phi + k * mp.pi / 2)
-            # a bound on the term, as f^(k)(a) may vanish for one k
-            bound = sum(abs(mp.mpf(c)) * abs(mp.mpf(w)) ** k
-                        * (mp.exp(mp.mpf(w) * a) if kind == "exp" else 1)
-                        for kind, c, w, _ in terms) * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
+            fk, size = mp.mpf(0), mp.mpf(0)
+            for c, lam, w, phi, sine in terms:
+                z = mp.mpc(lam, w)
+                jet = mp.mpf(c) * z**k * mp.exp(z * a + mp.mpc(0, phi))
+                fk += jet.imag if sine else jet.real
+                # a bound on the term, as f^(k)(a) may vanish for one k
+                size += abs(mp.mpf(c)) * abs(z) ** k * mp.exp(mp.mpf(lam) * a)
+            bound = size * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
             total += fk * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
             largest, bounds = max(largest, bound), bounds + bound
             if k > n + 2 and bound < mp.mpf(10) ** -30 * largest:
@@ -122,8 +120,8 @@ def _taylor_caputo(terms, alpha, a, x, majorant=False):
 
 def _expr(terms):
     return parse_expr(" + ".join(
-        f"exp(c={c!r},lam={w!r})" if kind == "exp" else f"{kind}(c={c!r},w={w!r},phi={phi!r})"
-        for kind, c, w, phi in terms))
+        f"{'sin' if sine else 'cos'}(c={c!r},w={w!r},phi={phi!r},lam={lam!r})"
+        for c, lam, w, phi, sine in terms))
 
 
 # --- power rule ---
@@ -207,7 +205,7 @@ def test_quadrature_sin_half_order():
     # past the series' reach, w (x - a) > 2, sin takes the integral
     r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 2.5, QuadratureConfig(nodes=1024))
     assert r.method == METHOD_QUAD
-    assert r.value == pytest.approx(_taylor_caputo([("sin", 1.0, 1.0, 0.0)], 0.5, 0.0, 2.5),
+    assert r.value == pytest.approx(_taylor_caputo([(1.0, 0.0, 1.0, 0.0, True)], 0.5, 0.0, 2.5),
                                     abs=2e-9)
     assert r.est_error is not None
     cfg = QuadratureConfig(nodes=1024)
@@ -272,7 +270,7 @@ def test_integer_order_collapses_to_symbolic():
 @pytest.mark.parametrize("alpha", [0.6, 0.999, 1.4, 2.97])
 def test_quadrature_converges_geometrically_as_the_node_cap_doubles(alpha):
     # caps below 32 give one rule of that many nodes; sin(12x) needs about 30
-    terms = [("sin", 1.0, 12.0, 0.3), ("exp", 1.0, -4.0, 0.0)]
+    terms = [(1.0, 0.0, 12.0, 0.3, True), (1.0, -4.0, 0.0, 0.0, False)]
     exact = _taylor_caputo(terms, alpha, 0.0, 0.9)
     errs = [abs(caputo_derivative(_expr(terms), alpha, 0.0, 0.9,
                                   QuadratureConfig(nodes=n)).value - exact) / abs(exact)
@@ -302,12 +300,15 @@ def test_quadrature_matches_closed_on_polynomials(degree, alpha, a):
     assert quad == pytest.approx(exact.value, rel=2e-6, abs=2e-8)
 
 
-_TERMS = st.lists(
-    st.tuples(st.sampled_from(("sin", "cos", "exp")),
-              st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 0.1),
-              st.floats(-3.0, 3.0).filter(lambda w: abs(w) >= 0.1),
-              st.floats(0.0, 6.28)),
-    min_size=1, max_size=3)
+_C = st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 0.1)
+_W = st.floats(-3.0, 3.0).filter(lambda w: abs(w) >= 0.1)
+_PHI = st.floats(0.0, 6.28)
+# (c, lam, w, phi, sine): sines and cosines, exponentials, and damped terms
+_TERMS = st.lists(st.one_of(
+    st.builds(lambda c, w, phi, sine: (c, 0.0, w, phi, sine), _C, _W, _PHI, st.booleans()),
+    st.builds(lambda c, lam: (c, lam, 0.0, 0.0, False), _C, _W),
+    st.tuples(_C, _W, _W, _PHI, st.booleans()),
+), min_size=1, max_size=3)
 # non-integer orders in (0, 3), a share of them within 1e-3 of an integer
 _ORDERS = st.one_of(
     st.floats(0.001, 2.999),
@@ -316,7 +317,7 @@ _ORDERS = st.one_of(
 
 
 def _rate(terms):
-    return max(abs(w) for _, _, w, _ in terms)
+    return max(math.hypot(lam, w) for _, lam, w, _, _ in terms)
 
 
 @given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), st.floats(1.01, 3.0))
@@ -335,7 +336,7 @@ def test_quadrature_estimate_covers_the_rounding_of_its_samples():
     # at an order near 0 the value is about f(x) - f(a) = 0, about 6e-6, while
     # the samples of f' = sin(2 - z) are of size 1: their rounding, a few
     # 1e-16, is the whole error, and the estimate must cover it unforgiven
-    terms = [("cos", 1.0, -1.0, 2.0)]
+    terms = [(1.0, 0.0, -1.0, 2.0, False)]
     r = caputo_derivative(_expr(terms), 2.327631959785385e-06, 0.0, 4.0)
     assert r.method == METHOD_QUAD
     exact = _taylor_caputo(terms, 2.327631959785385e-06, 0.0, 4.0)
@@ -489,7 +490,7 @@ def test_mixed_sum_takes_power_terms_exactly():
     r = caputo_derivative(MIXED, 1.5, 0.0, 2.5, QuadratureConfig(nodes=1024))
     assert r.method == METHOD_QUAD
     exact = (math.gamma(1.3) / math.gamma(-0.2) * 2.5**-1.2
-             + _taylor_caputo([("sin", 1.0, 1.0, 0.0)], 1.5, 0.0, 2.5))
+             + _taylor_caputo([(1.0, 0.0, 1.0, 0.0, True)], 1.5, 0.0, 2.5))
     assert r.value == pytest.approx(exact, abs=1e-7)
     r = caputo_derivative(MIXED, 1.5, 0.0, 0.7, QuadratureConfig(nodes=1024))
     assert r.method == METHOD_SPECIAL
