@@ -32,8 +32,7 @@ from .exceptions import ExprParseError, FraclimError
 from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
-    METHOD_QUAD,
-    METHOD_SPECIAL,
+    _ESTIMATED,
     QuadratureConfig,
     derivative_many,
 )
@@ -129,7 +128,7 @@ def cmd_eval(args) -> int:
     kind = KIND_CAPUTO if args.kind == "caputo" else KIND_RL
     values, est_errors, method = derivative_many(f, order, args.a, args.x,
                                                  QuadratureConfig(nodes=args.nodes), kind)
-    if method not in (METHOD_QUAD, METHOD_SPECIAL):
+    if method not in _ESTIMATED:
         est_errors = [None] * len(values)
     results = list(zip(args.x, values, est_errors))
     if args.output == "json":

@@ -9,23 +9,23 @@ C e^(z x), z = lam + i w, whose Caputo derivative has the closed form
     C z^n e^(z a) h^(n - alpha) E_{1, n+1-alpha}(z h)
         = sum_{k>=n} f^(k)(a) h^(k - alpha) / Gamma(k + 1 - alpha),
 
-h = x - a, with E the Mittag-Leffler function.  Wherever rate * h <= 2,
-rate the largest |z| of the rest, ``derivative_many`` sums that
-series over 26 terms, from the exact jets f^(k)(a) (``_series_rows``), with
-an estimate that bounds its rounding and its tail; the method is then
-SpecialFunction.  At every other point, and for a rest that holds a power
-term, ``caputo_from_chain`` takes the rest's derivatives through the
-singular integral
+h = x - a, with E the Mittag-Leffler function.  At an integer order
+alpha = n the derivative is the rest's f^(n)(x) itself, exact, at every
+point.  At a fractional order, wherever rate * h <= 2, rate the largest |z|
+of the rest, ``derivative_many`` sums that series over 26 terms, from the
+exact jets f^(k)(a) (``_series_rows``), with an estimate that bounds its
+rounding and its tail; the method is then SpecialFunction.  At every other
+point, and for a rest that holds a power term, it takes the singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
-``singular_integral`` is the one quadrature core under it, product
-Gauss-Legendre integration with one integral per row: each row pairs an
-integrand with an order, over points all the rows share, with an error
-estimate from the same samples; it is also the package's fractional
-integral.  One operator application is at most one call of it, one row per
-order that takes an integral, on the f^(n) of that order's derivative count
-n.  The rows stay float64 arrays up to ``derivative_many`` and the reports.
+``singular_integral`` is the one quadrature core, product Gauss-Legendre
+integration with one integral per row: each row pairs an integrand with an
+order, over points all the rows share, with an error estimate from the same
+samples; it is also the package's fractional integral.  One operator
+application is at most one call of it, one row per fractional order, on the
+f^(n) of that order's derivative count n.  The rows stay float64 arrays up
+to ``derivative_many`` and the reports.
 The Riemann-Liouville operator is the Caputo one plus the RL power rule on
 the Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
 
@@ -54,7 +54,6 @@ __all__ = [
     "DerivResult",
     "QuadratureConfig",
     "caputo_derivative",
-    "caputo_from_chain",
     "caputo_power_coefficient",
     "derivative_many",
     "power_rule",
@@ -271,46 +270,6 @@ def singular_integral(samplers, orders, a: float, xs, cfg: QuadratureConfig = Qu
     return scale * sums, scale * (best + floor)
 
 
-def caputo_from_chain(chain, orders, a: float, xs,
-                      cfg: QuadratureConfig = QuadratureConfig(), at_a=None):
-    """Caputo derivatives of g at every order in ``orders`` and x in ``xs``,
-    as two (orders x points) arrays, the values and their estimates;
-    ``chain[n]``, a list or a dict keyed by n, maps a 1-d array of points z
-    to g^(n)(z) for every n the orders take.  An order o takes
-    n = max(ceil(o), 0) derivatives, and the integral of order n - o on
-    chain[n]: one ``singular_integral`` call integrates every non-integer
-    order, one row each, with the rows of each n together in the order the n
-    first appear.  o == n is the row chain[n](xs), exact, with estimate 0.
-    Given ``at_a``, the g^(k)(a), a row gains the RL power rule on the Taylor
-    terms g^(k)(a)/k! (x - a)^k, k < n, and is the RL derivative; a negative
-    order is a fractional integral.  DomainError when a value is not finite."""
-    a = float(a)
-    xs = np.array(xs, dtype=np.float64).reshape(-1)
-    points = xs.tolist()
-    _check_interval(a, points)
-    ns = [math.ceil(o) if o > 0.0 else 0 for o in orders]
-    groups = {}  # n -> the indices of the orders that take n derivatives
-    for i, n in enumerate(ns):
-        groups.setdefault(n, []).append(i)
-    quad = [i for rows in groups.values() for i in rows if orders[i] != ns[i]]
-    # the rows of the integrals: a slice, which copies faster, when they are all the rows
-    into = slice(None) if quad == list(range(len(orders))) else quad
-    values, est_errors = np.empty((len(orders), xs.size)), np.zeros((len(orders), xs.size))
-    # chain[n] is sampled in the order of the groups, with the integrals of
-    # every group at the first group that has one
-    for n, rows in groups.items():
-        if quad and n == ns[quad[0]]:
-            values[into], est_errors[into] = singular_integral(
-                [chain[ns[i]] for i in quad], [ns[i] - orders[i] for i in quad], a, xs, cfg)
-        exact = [i for i in rows if orders[i] == n]
-        if exact:
-            values[exact] = chain[n](xs)
-    if at_a is not None:
-        _add_taylor_terms(values, at_a, orders, ns, a, points)
-    _check_finite(values, a, points)
-    return values, est_errors
-
-
 def _add_taylor_terms(values, at_a, orders, ns, a, xs):
     """RL minus Caputo: add to the row of each order, of n = ns[i]
     derivatives, the RL power rule on the Taylor terms at_a[k]/k! (x - a)^k,
@@ -403,7 +362,7 @@ def _series_rows(rest, rate, orders, a, xs, kind=KIND_CAPUTO):
     The estimate is (K + 4 + spread) eps times the sum of the majorant's
     terms, plus twice its first omitted term, which bounds the tail: past
     term K each majorant term is at most u / (K + 1) < 1/13 of the one
-    before.  DomainError when a jet or rate^n overflows."""
+    before.  DomainError when a jet, rate^n or a coefficient overflows."""
     K = _SERIES_TERMS
     ns = [max(math.ceil(o), 0) for o in orders]
     exps = [n - o for n, o in zip(ns, orders)]
@@ -427,6 +386,10 @@ def _series_rows(rest, rate, orders, a, xs, kind=KIND_CAPUTO):
             row.append(scaled[n + j] * g)
             major.append(bound[n + j] * g * rounding)
             g /= b + j
+        # a coefficient that overflowed would make NumPy's sum warn: a finite
+        # Python sum has none, and only a sum that is not finite is searched
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise DomainError(f"the derivative is not finite at x={xs[0]!r}, a={a!r}")
         values.append(row + [0.0])
         bounds.append(major + [2.0 * bound[n + K] * g])
     h = np.array(xs) - a
@@ -454,13 +417,14 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     list of them: each of the three then holds one entry per order.  An RL
     order may be any real number, a negative one a fractional integral.
 
-    The ``parts`` of split_powers(f, a) take ``power_rule``.  A rest of
-    exponential terms takes its Taylor series (``_series_rows``) at every x
-    with rate * (x - a) <= 2, rate its largest |lam + i w|; the rest's other
-    points, and a rest with a power term, take one ``caputo_from_chain`` call
-    over all the orders, on the rest^(n) of each derivative count n, given the
-    rest^(k)(a) for RL.  An integer order is the exact row rest^(n)(x) at
-    every point.  The estimates are the rest's (0 when it is empty or the
+    The ``parts`` of split_powers(f, a) take ``power_rule``.  An integer
+    order is the exact row rest^(n)(x) at every point.  At the fractional
+    orders a rest of exponential terms takes its Taylor series
+    (``_series_rows``) at every x with rate * (x - a) <= 2, rate its largest
+    |lam + i w|; the rest's other points, and a rest with a power term, take
+    one ``singular_integral`` call over all those orders, on the rest^(n) of
+    each derivative count n, plus for RL the Taylor terms from the
+    rest^(k)(a).  The estimates are the rest's (0 when it is empty or the
     order an integer).  The method is ClosedForm for an empty rest, or
     Caputo at an integer order; otherwise, for Caputo, SpecialFunction when
     every point took the series and Quadrature when one took the integral,
@@ -496,46 +460,52 @@ def _derivative_rows(f, alpha, a, xs, cfg, kind=KIND_CAPUTO):
 
 def _rest_rows(rest, orders, a, xs, cfg, kind):
     """The rows of ``_derivative_rows`` for a non-empty rest, with the
-    methods: the series at the points it reaches, one ``caputo_from_chain``
-    call at the others, on the rest^(n) of each derivative count n, and the
-    exact row at an integer order."""
+    methods.  An integer order n is the exact row rest^(n)(x) at every point.
+    The other orders take the series at the points it reaches, and at the
+    others one ``singular_integral`` call, on one sampler of rest^(n) per
+    derivative count n, plus for RL the Taylor terms from the rest^(k)(a)."""
     ns = [math.ceil(o) if o > 0.0 else 0 for o in orders]
-    exact = [i for i, o in enumerate(orders) if o == ns[i]]
+    exact, frac = [], []
+    for i, (o, n) in enumerate(zip(orders, ns)):
+        (exact if o == n else frac).append(i)
     rate = _rate(rest)
     near = [rate is not None and rate * (x - a) <= _SERIES_REACH for x in xs]
-    far = [x for x, is_near in zip(xs, near) if not is_near]
-    if far:  # every n, and for RL the rest^(k)(a), k < max n, of the boundary terms
+    far = [x for x, is_near in zip(xs, near) if not is_near] if frac and not all(near) else []
+    if far:  # every n, and for RL the rest^(k)(a), k < max n, of the Taylor terms
         taken = range(max(ns) + 1) if kind == KIND_RL else set(ns)
     else:
         taken = {ns[i] for i in exact}
     derived = {n: derivative(rest, n) for n in sorted(taken)}
-    samplers = {n: partial(evaluate_many, g) for n, g in derived.items()}
+    exact_rows = [evaluate_many(derived[ns[i]], xs) for i in exact]
+    frac_orders, frac_ns = orders, ns
+    if exact:
+        frac_orders, frac_ns = [orders[i] for i in frac], [ns[i] for i in frac]
+    routes = []  # per route, its columns (None for all of them) and its rows there
+    if frac and len(far) < len(xs):
+        points = [x for x, is_near in zip(xs, near) if is_near] if far else xs
+        routes.append((near if far else None,
+                       _series_rows(rest, rate, frac_orders, a, points, kind)))
     if far:
-        at_a = [evaluate(derived[k], a) for k in range(max(ns))] if kind == KIND_RL else None
-        values, est_errors = caputo_from_chain(samplers, orders, a, far, cfg, at_a)
-    if len(far) < len(xs):
-        points = [x for x, is_near in zip(xs, near) if is_near]
-        if exact:
-            series = np.empty((len(orders), len(points))), np.zeros((len(orders), len(points)))
-            frac = [i for i in range(len(orders)) if i not in exact]
-            if frac:
-                series[0][frac], series[1][frac] = _series_rows(
-                    rest, rate, [orders[i] for i in frac], a, points, kind)
-            for i in exact:
-                series[0][i] = samplers[ns[i]](points)
-        else:
-            series = _series_rows(rest, rate, orders, a, points, kind)
-        if far:  # the two routes' columns, back in the order of xs
-            cols = np.array(near)
-            rows = np.empty((len(orders), len(xs))), np.empty((len(orders), len(xs)))
-            for row, quad, near_part in zip(rows, (values, est_errors), series):
-                row[:, ~cols], row[:, cols] = quad, near_part
-            values, est_errors = rows
-        else:
-            values, est_errors = series
-        _check_finite(values, a, xs)
-    methods = [METHOD_BRIDGE if kind == KIND_RL else METHOD_CLOSED if i in exact
-               else METHOD_QUAD if far else METHOD_SPECIAL for i in range(len(orders))]
+        at_a = ([evaluate(derived[k], a) for k in range(max(frac_ns))]
+                if kind == KIND_RL else None)
+        samplers = {n: partial(evaluate_many, derived[n]) for n in frac_ns}
+        rows = singular_integral([samplers[n] for n in frac_ns],
+                                 [n - o for n, o in zip(frac_ns, frac_orders)], a, far, cfg)
+        if at_a is not None:
+            _add_taylor_terms(rows[0], at_a, frac_orders, frac_ns, a, far)
+        routes.append(([not is_near for is_near in near] if len(far) < len(xs) else None, rows))
+    if not exact and len(routes) == 1:  # one route over every row and column
+        values, est_errors = routes[0][1]
+    else:
+        values, est_errors = np.empty((len(orders), len(xs))), np.zeros((len(orders), len(xs)))
+        for i, row in zip(exact, exact_rows):
+            values[i] = row
+        for cols, (route_values, route_est) in routes:
+            at = frac if cols is None else np.ix_(frac, cols)
+            values[at], est_errors[at] = route_values, route_est
+    _check_finite(values, a, xs)
+    methods = [METHOD_BRIDGE if kind == KIND_RL else METHOD_CLOSED if o == n
+               else METHOD_QUAD if far else METHOD_SPECIAL for o, n in zip(orders, ns)]
     return values, est_errors, methods
 
 

@@ -23,15 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import DomainError, UnsupportedProduct
 from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
     QuadratureConfig,
+    _add_taylor_terms,
+    _check_finite,
     _check_interval,
     _derivative_rows,
-    caputo_from_chain,
     derivative_many,
+    singular_integral,
 )
 from .funcmodel import (
     FuncExpr,
@@ -146,20 +150,26 @@ def _product_nth_values(fs, gs):
 
 def _d_product(f, g, alpha, a, pts, cfg, kind):
     """D^alpha(fg) at every point of pts: a product of two polynomials is
-    multiplied out for derivative_many; any other is one caputo_from_chain
-    call on the Leibniz-expanded (fg)^(n), each f^(j) and g^(j), j <= n,
-    derived once."""
+    multiplied out for derivative_many.  Any other takes the Leibniz-expanded
+    (fg)^(n), each f^(j) and g^(j), j <= n, derived once: at an integer order
+    its exact row, otherwise one ``singular_integral`` row of order n - alpha,
+    plus for RL the Taylor terms from the (fg)^(k)(a), k < n."""
     try:
         fg = poly_product(f, g)
     except UnsupportedProduct:
         n = alpha.n
         fs, gs = _derivatives(f, n), _derivatives(g, n)
-        at_a = None
-        if kind == KIND_RL:  # (fg)^(k)(a), k < n, from one sample of each f^(j), g^(j)
-            fa, ga = ([float(evaluate_many(d, [a])[0]) for d in ds[:-1]] for ds in (fs, gs))
-            at_a = [_leibniz_sum(fa, ga, k) for k in range(n)]
-        nth = {n: _product_nth_values(fs, gs)}
-        return caputo_from_chain(nth, [alpha.alpha], a, pts, cfg, at_a)[0][0].tolist()
+        nth = _product_nth_values(fs, gs)
+        if alpha.is_integer:
+            values = np.array([nth(pts)])
+        else:
+            values, _ = singular_integral([nth], [n - alpha.alpha], a, pts, cfg)
+            if kind == KIND_RL:  # (fg)^(k)(a), k < n, from one sample of each f^(j), g^(j)
+                fa, ga = ([float(evaluate_many(d, [a])[0]) for d in ds[:-1]] for ds in (fs, gs))
+                at_a = [_leibniz_sum(fa, ga, k) for k in range(n)]
+                _add_taylor_terms(values, at_a, [alpha.alpha], [n], a, pts)
+        _check_finite(values, a, pts)
+        return values[0].tolist()
     return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 

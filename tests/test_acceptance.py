@@ -26,8 +26,8 @@ from fraclim.fracderiv import (
     METHOD_CLOSED,
     QuadratureConfig,
     caputo_derivative,
-    caputo_from_chain,
     power_rule,
+    singular_integral,
 )
 from fraclim.funcmodel import (
     FuncExpr,
@@ -56,20 +56,19 @@ SERIES_XX_HALF = 1.5045055561273501  # 2/Gamma(2.5) = RL^1/2 x^2 at x=1
 
 def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
     """Caputo derivative of f at x by quadrature of the sampled f^(n), for
-    every term, where caputo_derivative would take the power rule."""
+    every term, where caputo_derivative would take the power terms centered at
+    a by the power rule: the singular integral of order n - alpha of f^(n)."""
     fn = derivative(f, order.n)
-    # only chain[n] is sampled when no boundary values are given
-    chain = [None] * order.n + [lambda zs: evaluate_many(fn, zs)]
-    ((value,),), _ = caputo_from_chain(chain, [order.alpha], a, (x,), cfg)
+    ((value,),), _ = singular_integral([lambda zs: evaluate_many(fn, zs)],
+                                       [order.n - order.alpha], a, (x,), cfg)
     return float(value)
 
 
 def _boundary_sum(at_a, order, a, x):
     """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
-    the RL part of caputo_from_chain, alone on the chain of the zero function."""
-    zero = [np.zeros_like] * (len(at_a) + 1)
-    ((value,),), _ = caputo_from_chain(zero, [order.alpha], a, (x,), at_a=at_a)
-    return float(value)
+    the RL power rule on its Taylor terms f^(k)(a)/k! (x - a)^k."""
+    taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
+    return power_rule(taylor, order.alpha, a, (x,), KIND_RL)[0]
 
 
 def _closed(f, order, a, x):

@@ -541,7 +541,7 @@ def test_every_export_exists(module):
     if module == "fraclim.fracderiv":
         # one public derivative surface: a re-added alias must fail here
         assert set(mod.__all__) == {
-            "DerivResult", "QuadratureConfig", "caputo_derivative", "caputo_from_chain",
+            "DerivResult", "QuadratureConfig", "caputo_derivative",
             "caputo_power_coefficient", "derivative_many", "power_rule",
             "rl_derivative", "singular_integral", "split_powers",
         }

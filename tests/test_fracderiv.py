@@ -30,7 +30,6 @@ from fraclim.fracderiv import (
     DerivResult,
     QuadratureConfig,
     caputo_derivative,
-    caputo_from_chain,
     caputo_power_coefficient,
     derivative_many,
     power_rule,
@@ -68,20 +67,18 @@ OFF_CENTRE = parse_expr("pow(c=1,x0=-0.5,beta=0.3)")
 def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
     """Caputo derivative of f at x by quadrature of the sampled f^(n), for
     every term, where caputo_derivative would take the power terms centered at
-    a by the power rule."""
+    a by the power rule: the singular integral of order n - alpha of f^(n)."""
     fn = derivative(f, order.n)
-    # only chain[n] is sampled when no boundary values are given
-    chain = [None] * order.n + [lambda zs: evaluate_many(fn, zs)]
-    ((value,),), _ = caputo_from_chain(chain, [order.alpha], a, (x,), cfg)
+    ((value,),), _ = singular_integral([lambda zs: evaluate_many(fn, zs)],
+                                       [order.n - order.alpha], a, (x,), cfg)
     return float(value)
 
 
 def _boundary_sum(at_a, order, a, x):
     """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
-    the RL part of caputo_from_chain, alone on the chain of the zero function."""
-    zero = [np.zeros_like] * (len(at_a) + 1)
-    ((value,),), _ = caputo_from_chain(zero, [order.alpha], a, (x,), at_a=at_a)
-    return float(value)
+    the RL power rule on its Taylor terms f^(k)(a)/k! (x - a)^k."""
+    taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
+    return power_rule(taylor, order.alpha, a, (x,), KIND_RL)[0]
 
 
 def _power(beta, a):
@@ -396,15 +393,17 @@ def test_linearity_on_quadrature_route():
 
 
 def test_quadrature_fn_entry_point():
-    # caputo_from_chain takes samplers of f, f', ...: cos is sin' for the order-1/2 case
-    ((value,),), ((est,),) = caputo_from_chain([np.sin, np.cos], [0.5], 0.0, [0.1],
+    # the Caputo derivative of order 1/2 of sin is the order-1/2 integral of cos
+    ((value,),), ((est,),) = singular_integral([np.cos], [0.5], 0.0, [0.1],
                                                QuadratureConfig(nodes=1024))
     assert value == pytest.approx(CAPUTO_HALF_SIN_AT_01, abs=2e-9)
     assert 0.0 < est < 1e-8
-    # at an integer order the value is the sample itself, exact, with estimate 0
-    (values,), (ests,) = caputo_from_chain([np.sin, np.cos], [1.0], 0.0, [0.1, 0.7])
-    assert values.tolist() == np.cos([0.1, 0.7]).tolist()
-    assert ests.tolist() == [0.0, 0.0]
+    # at an integer order the value is the sample itself, exact, with estimate
+    # 0, at points within the series' reach and past it alike
+    values, ests, methods = derivative_many(SIN, [1.0, 0.5], 0.0, [0.1, 0.7, 3.0])
+    assert values[0] == np.cos([0.1, 0.7, 3.0]).tolist()
+    assert ests[0] == [0.0, 0.0, 0.0]
+    assert methods == [METHOD_CLOSED, METHOD_QUAD]
 
 
 def test_fractional_integral():
@@ -444,15 +443,21 @@ def test_bridge_factorial_variant_breaks_the_power_rule():
     assert good == pytest.approx(want, rel=1e-13)
 
 
-def test_bridge_quadrature_route():
-    ((got,),), _ = caputo_from_chain([np.exp, np.exp], [0.5], 0.0, [1.0],
-                                     QuadratureConfig(nodes=4096), at_a=[1.0])
-    assert got == pytest.approx(RL_HALF_EXP_AT_1, abs=5e-8)
+def test_bridge_quadrature_route(monkeypatch):
+    # with no series reach, x = 1 takes the integral plus the Taylor term f(0)
+    calls = []
+    core = fraclim.fracderiv.singular_integral
+    monkeypatch.setattr(fraclim.fracderiv, "_SERIES_REACH", 0.0)
+    monkeypatch.setattr(fraclim.fracderiv, "singular_integral",
+                        lambda *args, **kwargs: calls.append(args) or core(*args, **kwargs))
+    r = rl_derivative(EXP, 0.5, 0.0, 1.0, QuadratureConfig(nodes=4096))
+    assert len(calls) == 1 and r.method == METHOD_BRIDGE
+    assert r.value == pytest.approx(RL_HALF_EXP_AT_1, abs=5e-8)
 
 
 def test_bridge_collapses_at_integer_order():
-    ((got,),), _ = caputo_from_chain([np.exp] * 3, [2.0], 0.0, [0.4], at_a=[1.0, 1.0])
-    assert got == pytest.approx(math.exp(0.4), rel=1e-13)
+    for x in (0.4, 2.5):  # within the series' reach and past it
+        assert rl_derivative(EXP, 2.0, 0.0, x).value == pytest.approx(math.exp(x), rel=1e-13)
 
 
 def test_rl_minus_caputo_is_the_boundary_series():
@@ -574,7 +579,7 @@ def test_derivative_many_makes_one_core_call(monkeypatch, kind, orders):
     derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 0.9, 1.6), kind=kind)
     assert calls == []
     derivative_many(SQRT_SIN_EXP, orders, 0.0, (0.3, 2.9, 1.6, 3.6), kind=kind)
-    assert [xs.tolist() for xs in calls] == [[2.9, 3.6]]
+    assert [list(xs) for xs in calls] == [[2.9, 3.6]]
 
 
 @pytest.mark.parametrize("kind,orders", [
@@ -638,9 +643,18 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         rl_derivative(SIN, 0.5, a, x)
     with pytest.raises(DomainError):
-        caputo_from_chain([np.sin, np.cos], [0.5], a, [x])
+        derivative_many(SIN, [0.5, 1.0, 2.5], a, [x], kind=KIND_RL)
     with pytest.raises(DomainError):
         singular_integral([np.cos], [0.5], a, (x,))
+
+
+@pytest.mark.parametrize("derive", [caputo_derivative, rl_derivative])
+def test_series_overflow_raises_domain_error(derive):
+    # within the series' reach, the coefficients of sin(c=1e300, w=1e10)
+    # overflow to +-inf: a DomainError naming the point, and no RuntimeWarning,
+    # which this suite turns into an error
+    with pytest.raises(DomainError, match=r"x=1e-10,"):
+        derive(parse_expr("sin(c=1e300,w=1e10)"), 0.5, 0.0, 1e-10)
 
 
 def test_empty_point_lists_raise():
@@ -650,7 +664,7 @@ def test_empty_point_lists_raise():
         with pytest.raises(DomainError):
             derivative_many(f, [0.5, 1.5], 0.0, [], kind=KIND_RL)
     with pytest.raises(DomainError):
-        caputo_from_chain([np.sin, np.cos], [0.5], 0.0, [])
+        derivative_many(SIN, [0.5, 1.0], 0.0, [])
     with pytest.raises(DomainError):
         singular_integral([np.cos], [0.5], 0.0, [])
     with pytest.raises(DomainError):
@@ -706,7 +720,7 @@ def test_singular_integral_of_high_order():
 
 def test_scan_core_validation():
     with pytest.raises(DomainError):
-        caputo_from_chain([np.sin] * 3, [2.0], 0.0, [0.3, -0.1], QuadratureConfig())
+        derivative_many(SIN, [2.0], 0.0, [0.3, -0.1], QuadratureConfig())
     # one positive order per sampler, and at least one row
     with pytest.raises(DomainError):
         singular_integral([np.cos, np.sin], [0.5], 0.0, [0.3])

@@ -90,10 +90,12 @@ def test_defect_dichotomy_same_pair():
     assert abs(inte.defect[0]) <= 1e-12
 
 
-def test_defect_second_order_integer():
-    rep = leibniz_defect(X2, SIN, FracOrder(2.0), 0.0, (0.9,))
+@pytest.mark.parametrize("operator", ["caputo", "rl"])
+def test_defect_second_order_integer(operator):
+    rep = leibniz_defect(X2, SIN, FracOrder(2.0), 0.0, (0.9,), operator=operator)
     # the naive two-term rule misses the cross term of the classical
-    # second-order expansion, so the defect is exactly 2 f' g'
+    # second-order expansion, so the defect is exactly 2 f' g'; the RL Taylor
+    # terms vanish at an integer order
     expected = 2.0 * (2.0 * 0.9) * math.cos(0.9)
     assert rep.defect[0] == pytest.approx(expected, rel=1e-10)
 
@@ -292,7 +294,8 @@ def _mp_caputo(hn, alpha, a, x):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
 def test_rl_of_product_exp_exp_against_mpmath(alpha):
-    # e^x e^x: caputo_from_chain on the Leibniz-expanded (fg)^(k), with n boundary values
+    # e^x e^x: the integral of the Leibniz-expanded (fg)^(n) with n boundary
+    # values, or at alpha = 2 its exact row
     with mp.workdps(30):
         want = _mp_rl(lambda t: mp.exp(2 * t), alpha, 0, mp.mpf(1))
     got = rl_of_product(EXP, EXP, alpha, 0.0, 1.0, QuadratureConfig(nodes=4096))
@@ -434,8 +437,9 @@ def test_series_route_equals_per_term_reference(f, g, alpha):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of core calls (singular_integral, as fracderiv sees it) and the
-    functions that fracderiv and leibniz sample, one entry per sampler call."""
+    """Counts of core calls (singular_integral, from fracderiv and leibniz)
+    and the functions that fracderiv and leibniz sample, one entry per sampler
+    call."""
     counts = {"core": 0, "sampled": []}
     core = fraclim.fracderiv.singular_integral
 
@@ -448,6 +452,7 @@ def work(monkeypatch):
         return evaluate_many(f, zs)
 
     monkeypatch.setattr(fraclim.fracderiv, "singular_integral", counted_core)
+    monkeypatch.setattr(fraclim.leibniz, "singular_integral", counted_core)
     monkeypatch.setattr(fraclim.fracderiv, "evaluate_many", counted_sample)
     monkeypatch.setattr(fraclim.leibniz, "evaluate_many", counted_sample)
     return counts
