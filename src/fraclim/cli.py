@@ -7,11 +7,17 @@ lfd-scan        geometric scan toward the base point + limit classification
 leibniz         product-rule defect / integer-sum / symmetrized-series report
 verify-theorem  run the limit dichotomy over a corpus file and an alpha grid
 
-Each subcommand parses its arguments, makes its library calls and prints
-their results; the decisions are the library's.  ``eval`` is one
-``derivative_many`` call over all its points, and ``verify-theorem`` one
-``lfd_verify`` call per corpus entry, which scans the entry at every order
-and decides its rows.
+Each subcommand parses its arguments, makes its library calls and builds
+one JSON document and a list of row dicts from their results; the decisions
+are the library's.  ``eval`` is one ``derivative_many`` call over all its
+points, and ``verify-theorem`` one ``lfd_verify`` call per corpus entry,
+which scans the entry at every order and decides its rows.
+
+This module is the package's only formatter: the library's reports are
+frozen dataclasses with no serializers.  One emitter, ``_emit``, prints the
+document for ``--output json`` or the command's columns of the rows for
+``--output csv``; for text the command prints ``key=value`` lines from the
+same dicts, each value through ``_cell``.
 
 Exit codes: 0 success, 2 parse error or a file that cannot be read or
 written, 3 domain error, 4 verification failure.
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import re
@@ -83,6 +88,8 @@ def read_corpus(path: str):
             raise ExprParseError(
                 f"bad base point {a_text.strip()!r}", field=where
             )
+        if not math.isfinite(a):
+            raise ExprParseError(f"base point must be finite, got {a!r}", field=where)
         entries.append((f, a))
     return entries
 
@@ -97,20 +104,30 @@ def _parse_alpha_list(text: str):
     return values
 
 
-def _fmt(v) -> str:
-    return "-" if v is None else repr(v)
+def _cell(v) -> str:
+    """One printed value: '-' for None, a string as it is, repr of a number."""
+    return "-" if v is None else v if isinstance(v, str) else repr(v)
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _pairs(row, keys) -> str:
+    return " ".join(f"{k}={_cell(row[k])}" for k in keys)
 
 
-def _print_csv(header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+def _write_csv(fh, header, rows) -> None:
+    w = csv.writer(fh, lineterminator="\n")
     w.writerow(header)
-    w.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _emit(args, doc, columns, rows) -> bool:
+    """Print ``doc`` for --output json, or the ``columns`` of the dicts in
+    ``rows`` for --output csv, and return True; return False for text,
+    which the command prints itself."""
+    if args.output == "json":
+        print(json.dumps(doc, indent=2))
+    elif args.output == "csv":
+        _write_csv(sys.stdout, columns, ([r[c] for c in columns] for r in rows))
+    return args.output != "text"
 
 
 def _scan_config(args) -> ScanConfig:
@@ -130,29 +147,20 @@ def cmd_eval(args) -> int:
                                                  QuadratureConfig(nodes=args.nodes), kind)
     if method not in _ESTIMATED:
         est_errors = [None] * len(values)
-    results = list(zip(args.x, values, est_errors))
-    if args.output == "json":
-        doc = {
-            "command": "eval",
-            "function": format_expr(f),
-            "alpha": order.alpha,
-            "a": args.a,
-            "kind": kind,
-            "results": [
-                {"x": x, "value": v, "kind": kind, "method": method, "est_error": e}
-                for x, v, e in results
-            ],
-        }
-        _print_json(doc)
-    elif args.output == "csv":
-        _print_csv(
-            ["x", "value", "kind", "method", "est_error"],
-            [[repr(x), repr(v), kind, method, _fmt(e)] for x, v, e in results],
-        )
-    else:
-        print(f"# eval kind={kind} alpha={order.alpha!r} a={args.a!r} f={format_expr(f)}")
-        for x, v, e in results:
-            print(f"x={x!r} value={v!r} method={method} est_error={_fmt(e)}")
+    rows = [{"x": x, "value": v, "kind": kind, "method": method, "est_error": e}
+            for x, v, e in zip(args.x, values, est_errors)]
+    doc = {
+        "command": "eval",
+        "function": format_expr(f),
+        "alpha": order.alpha,
+        "a": args.a,
+        "kind": kind,
+        "results": rows,
+    }
+    if not _emit(args, doc, ["x", "value", "kind", "method", "est_error"], rows):
+        print(f"# eval kind={kind} alpha={order.alpha!r} a={args.a!r} f={doc['function']}")
+        for r in rows:
+            print(_pairs(r, ("x", "value", "method", "est_error")))
     return 0
 
 
@@ -166,26 +174,28 @@ def cmd_lfd_scan(args) -> int:
     report = lfd_report(f, order, args.a, _scan_config(args), exponent_tol=args.exponent_tol)
     if args.plot_data:
         _write_plot_data(args.plot_data, report)
-    if args.output == "json":
-        _print_json(
-            {
-                "command": "lfd-scan",
-                "function": format_expr(f),
-                "alpha": order.alpha,
-                "a": args.a,
-                "report": report.to_json_dict(),
-            }
-        )
-    elif args.output == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        cls = report.classification
-        print(f"# lfd-scan alpha={order.alpha!r} a={args.a!r} f={format_expr(f)}")
+    cls = report.classification
+    rep = {
+        "samples": [{"x": x, "value": v, "est_error": e}
+                    for x, v, e in zip(report.xs, report.values, report.est_errors)],
+        "fitted_exponent": report.fitted_exponent,
+        "fitted_prefactor": report.fitted_prefactor,
+        "classification": {"kind": cls.kind, "limit": cls.limit},
+        "theory_exponent": report.theory_exponent,
+        "theory_prefactor": report.theory_prefactor,
+    }
+    doc = {
+        "command": "lfd-scan",
+        "function": format_expr(f),
+        "alpha": order.alpha,
+        "a": args.a,
+        "report": rep,
+    }
+    if not _emit(args, doc, ["x", "value", "est_error"], rep["samples"]):
+        print(f"# lfd-scan alpha={order.alpha!r} a={args.a!r} f={doc['function']}")
         print(f"samples={len(report.xs)} usable={sum(report.usable)}")
-        print(f"fitted_exponent={_fmt(report.fitted_exponent)} "
-              f"fitted_prefactor={_fmt(report.fitted_prefactor)}")
-        print(f"theory_exponent={report.theory_exponent!r} "
-              f"theory_prefactor={_fmt(report.theory_prefactor)}")
+        print(_pairs(rep, ("fitted_exponent", "fitted_prefactor")))
+        print(_pairs(rep, ("theory_exponent", "theory_prefactor")))
         if cls.kind == CLASS_FINITE:
             print(f"classification={cls.kind} limit={cls.limit!r}")
         else:
@@ -200,11 +210,9 @@ def _write_plot_data(path, report):
     except OSError as exc:
         raise ExprParseError(f"cannot write: {exc.strerror}", field=path)
     with fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "value", "log_offset", "log_abs_value"])
-        for x, v, h in zip(report.xs, report.values, report.offsets):
-            logv = repr(math.log(abs(v))) if v != 0.0 else ""
-            w.writerow([repr(x), repr(v), repr(math.log(h)), logv])
+        _write_csv(fh, ["x", "value", "log_offset", "log_abs_value"],
+                   ([x, v, math.log(h), math.log(abs(v)) if v != 0.0 else ""]
+                    for x, v, h in zip(report.xs, report.values, report.offsets)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +231,38 @@ def cmd_leibniz(args) -> int:
         report = integer_leibniz_report(f, g, order, points)
     else:  # series
         report = series_leibniz_report(f, g, order, args.a, points, args.k_max, cfg)
-    series_values = report.series_values
-    if args.output == "json":
-        doc = {
-            "command": "leibniz",
-            "function_f": format_expr(f),
-            "function_g": format_expr(g),
-            "a": args.a,
-            "rule": args.rule,
-            "operator": args.operator,
-            "report": report.to_json_dict(),
-        }
-        if series_values is not None:
-            doc["series_values"] = series_values
-        _print_json(doc)
-    elif args.output == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
+    rep = {
+        "alpha": report.alpha.alpha,
+        "points": list(report.points),
+        "defect": list(report.defect),
+        "max_abs_defect": report.max_abs_defect,
+        "rule_form": report.rule_form,
+        "truncation_K": report.truncation_K,
+        "series_residual": report.series_residual,
+    }
+    doc = {
+        "command": "leibniz",
+        "function_f": format_expr(f),
+        "function_g": format_expr(g),
+        "a": args.a,
+        "rule": args.rule,
+        "operator": args.operator,
+        "report": rep,
+    }
+    series = report.series_values
+    if series is not None:
+        doc["series_values"] = series
+    rows = [{"x": x, "series": s, "defect": d}
+            for x, s, d in zip(points, series or [None] * len(points), report.defect)]
+    if not _emit(args, doc, ["x", "defect"], rows):
         print(f"# leibniz rule={args.rule} alpha={order.alpha!r} a={args.a!r}")
-        print(f"# f={format_expr(f)}")
-        print(f"# g={format_expr(g)}")
-        for i, x in enumerate(points):
-            if series_values is not None:
-                print(f"x={x!r} series={series_values[i]!r} defect={report.defect[i]!r}")
-            else:
-                print(f"x={x!r} defect={report.defect[i]!r}")
-        print(f"max_abs_defect={report.max_abs_defect!r}")
+        print(f"# f={doc['function_f']}")
+        print(f"# g={doc['function_g']}")
+        for r in rows:
+            print(_pairs(r, ("x", "defect") if series is None else ("x", "series", "defect")))
+        print(_pairs(rep, ("max_abs_defect",)))
         if report.rule_form == RULE_SYMMETRIZED:
-            print(f"truncation_K={report.truncation_K} "
-                  f"series_residual={report.series_residual!r}")
+            print(_pairs(rep, ("truncation_K", "series_residual")))
     return 0
 
 
@@ -281,28 +292,16 @@ def cmd_verify_theorem(args) -> int:
                 "status": "PASS" if passed else "FAIL",
             })
     n_pass = sum(r["status"] == "PASS" for r in rows)
-    if args.output == "json":
-        _print_json(
-            {
-                "command": "verify-theorem",
-                "alphas": [o.alpha for o in alphas],
-                "tol": args.tol,
-                "passed": n_pass == len(rows),
-                "rows": rows,
-            }
-        )
-    elif args.output == "csv":
-        _print_csv(
-            ["function", "a", "alpha", "classification", "limit",
-             "fitted_exponent", "theory_exponent", "status"],
-            [
-                [r["function"], repr(r["a"]), repr(r["alpha"]), r["classification"],
-                 _fmt(r["limit"]), _fmt(r["fitted_exponent"]),
-                 repr(r["theory_exponent"]), r["status"]]
-                for r in rows
-            ],
-        )
-    else:
+    doc = {
+        "command": "verify-theorem",
+        "alphas": [o.alpha for o in alphas],
+        "tol": args.tol,
+        "passed": n_pass == len(rows),
+        "rows": rows,
+    }
+    columns = ["function", "a", "alpha", "classification", "limit",
+               "fitted_exponent", "theory_exponent", "status"]
+    if not _emit(args, doc, columns, rows):
         for r in rows:
             print(f"{r['status']}  alpha={r['alpha']:<6g} a={r['a']:<8g} "
                   f"{r['classification']:<9s} {r['function']}")

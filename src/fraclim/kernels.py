@@ -67,7 +67,7 @@ def legendre_moments(m: int, mus) -> np.ndarray:
 def product_weights(n: int, mu: float) -> np.ndarray:
     """Read-only weights w of length n+1 with  (n h)^(mu+1) (w @ v)  the
     product-trapezoid value on n subintervals of width h."""
-    if n != int(n) or n < 1:
+    if not 1 <= n < np.inf or n != int(n):
         raise ValueError(f"need at least one subinterval, got n={n!r}")
     p = mu + 1.0
     q = mu + 2.0

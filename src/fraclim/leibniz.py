@@ -73,7 +73,7 @@ class LeibnizReport:
     """Pointwise defects of one product-rule form, plus series diagnostics.
 
     ``series_values`` holds the series partial sum at each point for the
-    symmetrized-series form; ``to_json_dict`` leaves it out.
+    symmetrized-series form.
     """
 
     alpha: FracOrder
@@ -84,23 +84,6 @@ class LeibnizReport:
     truncation_K: int | None = None
     series_residual: float | None = None
     series_values: tuple | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.alpha,
-            "points": list(self.points),
-            "defect": list(self.defect),
-            "max_abs_defect": self.max_abs_defect,
-            "rule_form": self.rule_form,
-            "truncation_K": self.truncation_K,
-            "series_residual": self.series_residual,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["x,defect"]
-        for x, d in zip(self.points, self.defect):
-            lines.append(f"{x!r},{d!r}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ can be compared.  ``lfd_report_many`` scans one function at many orders at
 once: one ``derivative_many`` call over the scan points, one least-squares
 pass (``lfd_classify``) over its rows, one order per row, and one exact
 derivative f^(n) for the f^(n)(a) of each distinct n; ``lfd_report`` is its
-one-order case.  Reports keep the scan as rows of floats.  ``lfd_verify``
+one-order case.  Reports keep the scan as rows of floats, in frozen
+dataclasses that carry no serializer: the CLI formats them.  ``lfd_verify``
 checks the dichotomy on one such scan: it decides, order by order, whether
 the limit is the one the theory gives.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -113,26 +112,6 @@ class LfdReport:
     def samples(self) -> tuple:
         return tuple(map(LfdSample, self.xs, self.values, self.est_errors, self.offsets,
                          self.usable))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": [{"x": x, "value": v, "est_error": e}
-                        for x, v, e in zip(self.xs, self.values, self.est_errors)],
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_prefactor": self.fitted_prefactor,
-            "classification": {"kind": self.classification.kind,
-                               "limit": self.classification.limit},
-            "theory_exponent": self.theory_exponent,
-            "theory_prefactor": self.theory_prefactor,
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "value", "est_error"])
-        for row in zip(self.xs, self.values, self.est_errors):
-            w.writerow(list(map(repr, row)))
-        return buf.getvalue()
 
 
 def _base_point(a) -> float:

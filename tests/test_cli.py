@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, schemas, exit codes."""
 
+import ast
 import csv
 import importlib
 import io
@@ -18,8 +19,10 @@ from fraclim import schemas
 from fraclim.cli import main, max_threads, read_corpus
 from fraclim.exceptions import ExprParseError
 from fraclim.fracderiv import QuadratureConfig
-from fraclim.funcmodel import derivative, evaluate, format_expr
+from fraclim.funcmodel import derivative, evaluate, format_expr, parse_expr
+from fraclim.leibniz import RULE_UNVIOLATED
 from fraclim.lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
+from fraclim.specfun import FracOrder
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus" / "smooth30.txt"
@@ -118,6 +121,35 @@ def test_lfd_scan_plot_data(capsys, tmp_path):
     assert len(rows) == 7
 
 
+def test_lfd_scan_report_serialization_round_trip(capsys):
+    argv = ["lfd-scan", "--f", "sin(c=1,w=1)", "--alpha", "0.5", "--a", "0", "--h0", "0.1",
+            "--ratio", "0.5", "--count", "16", "--nodes", "512"]
+    rep = lfd_report(parse_expr("sin(c=1,w=1)"), FracOrder(0.5), 0.0,
+                     ScanConfig(h0=0.1, ratio=0.5, count=16, quad=QuadratureConfig(nodes=512)))
+    code, out, _ = run(capsys, argv + ["--output", "json"])
+    assert code == 0
+    doc = json.loads(out)["report"]
+    assert set(doc) == {
+        "samples",
+        "fitted_exponent",
+        "fitted_prefactor",
+        "classification",
+        "theory_exponent",
+        "theory_prefactor",
+    }
+    assert len(doc["samples"]) == 16
+    assert doc["classification"]["kind"] == CLASS_ZERO
+
+    code, out, _ = run(capsys, argv + ["--output", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["x", "value", "est_error"]
+    assert len(rows) == 16 + 1
+    # repr round-trip: parsing the first data row reproduces the floats
+    assert float(rows[1][0]) == rep.samples[0].x
+    assert float(rows[1][1]) == rep.samples[0].value
+
+
 # --- leibniz ---
 
 
@@ -194,6 +226,89 @@ def test_leibniz_rl_operator(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["defect"][0] == pytest.approx(-0.5641895835477563, rel=1e-10)
+
+
+def test_leibniz_report_serialization(capsys):
+    argv = ["leibniz", "--f", "pow(c=1,x0=0,beta=1)", "--g", "pow(c=1,x0=0,beta=1)",
+            "--alpha", "0.5", "--a", "0", "--x", "0.5", "1.0"]
+    code, out, _ = run(capsys, argv + ["--output", "json"])
+    assert code == 0
+    doc = json.loads(out)["report"]
+    assert doc["alpha"] == 0.5
+    assert doc["points"] == [0.5, 1.0]
+    assert doc["rule_form"] == RULE_UNVIOLATED
+    assert doc["truncation_K"] is None
+    code, csv_text, _ = run(capsys, argv + ["--output", "csv"])
+    assert code == 0
+    lines = csv_text.strip().splitlines()
+    assert lines[0] == "x,defect"
+    assert len(lines) == 3
+
+
+def _leibniz_rows(doc):
+    rep = doc["report"]
+    return [{"x": x, "defect": d} for x, d in zip(rep["points"], rep["defect"])]
+
+
+# argv, schema, CSV columns, and the document's rows that the CSV prints
+ROUND_TRIPS = {
+    "eval": (
+        ["eval", "--f", "pow(c=1,x0=0,beta=2)", "--alpha", "0.5", "--a", "0",
+         "--x", "0.5", "1.0"],
+        "eval", ["x", "value", "kind", "method", "est_error"], lambda doc: doc["results"]),
+    "eval-quadrature": (
+        ["eval", "--f", "pow(c=1,x0=0,beta=0.3) + sin(c=1,w=1)", "--alpha", "0.7",
+         "--a", "0", "--x", "3"],
+        "eval", ["x", "value", "kind", "method", "est_error"], lambda doc: doc["results"]),
+    "lfd-scan": (
+        ["lfd-scan", "--f", "sin(c=1,w=1) + pow(c=1,x0=0,beta=2)", "--alpha", "0.5",
+         "--a", "0", "--count", "8"],
+        "lfd_report", ["x", "value", "est_error"], lambda doc: doc["report"]["samples"]),
+    "leibniz-defect": (
+        ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "0.5",
+         "--a", "0", "--x", "0.4", "1.2", "--operator", "rl"],
+        "leibniz_report", ["x", "defect"], _leibniz_rows),
+    "leibniz-integer": (
+        ["leibniz", "--f", "pow(c=1,x0=0,beta=2)", "--g", "pow(c=1,x0=0,beta=3)",
+         "--alpha", "2", "--a", "0", "--x", "0.7", "1.3", "--rule", "integer"],
+        "leibniz_report", ["x", "defect"], _leibniz_rows),
+    "leibniz-series": (
+        ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "1.5",
+         "--a", "0", "--x", "0.4", "1.2", "--rule", "series", "--k-max", "9"],
+        "leibniz_report", ["x", "defect"], _leibniz_rows),
+    "verify-theorem": (
+        ["verify-theorem", "--corpus", str(CORPUS), "--alphas", "0.5,1"],
+        "verify_theorem", ["function", "a", "alpha", "classification", "limit",
+                           "fitted_exponent", "theory_exponent", "status"],
+        lambda doc: doc["rows"]),
+}
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("case", list(ROUND_TRIPS))
+def test_output_round_trips(capsys, case, output):
+    # one emitter prints every report: the document matches its schema, and
+    # each CSV cell reads back to the document's value, bit for bit
+    argv, schema, columns, doc_rows = ROUND_TRIPS[case]
+    code, out, err = run(capsys, argv + ["--output", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    if output == "json":
+        jsonschema.validate(doc, schemas.load(schema))
+        if case == "leibniz-series":
+            # the partial sums sit beside the report, not inside it
+            assert len(doc["series_values"]) == len(doc["report"]["points"])
+            assert "series_values" not in doc["report"]
+        return
+    code, out, err = run(capsys, argv + ["--output", "csv"])
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == columns
+    expected = [[r[c] for c in columns] for r in doc_rows(doc)]
+    assert len(rows) == len(expected)
+    got = [[cell if isinstance(want, str) else None if cell == "-" else float(cell)
+            for cell, want in zip(row, wants)] for row, wants in zip(rows, expected)]
+    assert repr(got) == repr(expected)  # repr tells every float apart, -0.0 from 0.0 too
 
 
 @pytest.mark.parametrize("argv", [
@@ -403,9 +518,29 @@ def test_unwritable_plot_data_is_a_parse_error(capsys, tmp_path):
 
 def test_read_corpus_bad_base_point(tmp_path):
     p = tmp_path / "c.txt"
-    p.write_text("sin(c=1,w=1) @ banana\n")
-    with pytest.raises(ExprParseError):
-        read_corpus(str(p))
+    for text in ("banana", "nan", "inf", "-inf"):
+        p.write_text(f"sin(c=1,w=1) @ {text}\n")
+        with pytest.raises(ExprParseError) as exc:
+            read_corpus(str(p))
+        assert f"{p}:1:" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_base_point_is_a_parse_error(capsys, tmp_path, monkeypatch, text):
+    # the corpus is read whole before any entry is scanned
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"sin(c=1,w=1) @ 0\nsin(c=1,w=1) @ {text}\n")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an entry was scanned")
+
+    monkeypatch.setattr("fraclim.cli.lfd_verify", no_scan)
+    code, out, err = run(capsys, [
+        "verify-theorem", "--corpus", str(corpus), "--alphas", "0.5",
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {corpus}:2: base point must be finite, got {float(text)!r}\n"
 
 
 def test_shipped_corpus_parses():
@@ -545,6 +680,21 @@ def test_every_export_exists(module):
             "caputo_power_coefficient", "derivative_many", "power_rule",
             "rl_derivative", "singular_integral", "split_powers",
         }
+
+
+def test_only_the_cli_formats_output():
+    # one output layer: no module but the CLI imports csv or json; the schema
+    # loader reads JSON and prints nothing
+    pkg = Path(fraclim.__file__).resolve().parent
+    exempt = {pkg / "cli.py", pkg / "schemas" / "__init__.py"}
+    imports = []
+    for path in sorted(set(pkg.rglob("*.py")) - exempt):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module))
+    assert [(name, mod) for name, mod in imports if mod.split(".")[0] in ("csv", "json")] == []
 
 
 def test_console_entry_point_subprocess():

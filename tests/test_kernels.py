@@ -9,6 +9,8 @@ integrand must come out to machine precision; B(2, 1/2) = 4/3 and
 B(3, 1/2) = 16/15 give rational references.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -140,6 +142,12 @@ def test_rejects_bad_inputs(name, kernel):
         kernel(good, 0.0, -0.5)  # h must be positive
     with pytest.raises(ValueError):
         kernel(good, 0.1, -1.0)  # kernel not integrable
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf, -math.inf])
+def test_product_weights_reject_bad_subinterval_counts(n):
+    with pytest.raises(ValueError, match="need at least one subinterval"):
+        product_weights(n, -0.5)
 
 
 def test_weights_are_read_only_and_cached_in_a_bounded_cache():

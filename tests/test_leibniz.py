@@ -245,7 +245,6 @@ def test_series_report_matches_pointwise_calls():
     assert rep.max_abs_defect == max(abs(d) for d in rep.defect)
     assert rep.truncation_K == 9
     assert rep.series_residual == max(sr.residual for sr in series)
-    assert "series_values" not in rep.to_json_dict()
     assert series_leibniz_report(X, X, 0.5, 0.0, (1.0,)).truncation_K == 2
     with pytest.raises(DomainError):
         series_leibniz_report(SIN, EXP, 0.5, 0.0, (0.3, -1.0))
@@ -338,19 +337,6 @@ def test_integer_leibniz_property(n, x):
     assert integer_leibniz(f, g, n, x) == pytest.approx(
         evaluate(derivative(fg, n), x), rel=1e-10, abs=1e-10
     )
-
-
-def test_report_serialization():
-    rep = leibniz_defect(X, X, FracOrder(0.5), 0.0, (0.5, 1.0))
-    doc = rep.to_json_dict()
-    assert doc["alpha"] == 0.5
-    assert doc["points"] == [0.5, 1.0]
-    assert doc["rule_form"] == RULE_UNVIOLATED
-    assert doc["truncation_K"] is None
-    csv_text = rep.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "x,defect"
-    assert len(lines) == 3
 
 
 # --- the batched routes equal their one-point, one-order forms exactly ---

@@ -1,7 +1,5 @@
 """Scan-and-classify behaviour for the x -> a limit of the Caputo derivative."""
 
-import csv
-import io
 import json
 import math
 from collections import Counter
@@ -236,28 +234,6 @@ def test_exact_agrees_with_scan_on_corpus_spot():
             assert rep.classification.limit == pytest.approx(exact.limit, abs=1e-6)
         else:
             assert rep.classification.kind == exact.kind
-
-
-def test_report_serialization_round_trip():
-    rep = lfd_report(SIN, FracOrder(0.5), 0.0, FAST_CFG)
-    doc = rep.to_json_dict()
-    assert set(doc) == {
-        "samples",
-        "fitted_exponent",
-        "fitted_prefactor",
-        "classification",
-        "theory_exponent",
-        "theory_prefactor",
-    }
-    assert len(doc["samples"]) == FAST_CFG.count
-    assert doc["classification"]["kind"] == CLASS_ZERO
-
-    rows = list(csv.reader(io.StringIO(rep.to_csv())))
-    assert rows[0] == ["x", "value", "est_error"]
-    assert len(rows) == FAST_CFG.count + 1
-    # repr round-trip: parsing the first data row reproduces the floats
-    assert float(rows[1][0]) == rep.samples[0].x
-    assert float(rows[1][1]) == rep.samples[0].value
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.01])
