@@ -327,13 +327,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_common(p, with_nodes=True):
+def _add_common(p):
     p.add_argument("--output", choices=("text", "json", "csv"), default="text",
                    help="output format (default: text)")
-    if with_nodes:
-        p.add_argument("--nodes", type=int, default=512,
-                       help="largest Gauss-Legendre rule of the quadrature; rules "
-                            "double from 32 nodes up to min(NODES, 512) (default: 512)")
+    p.add_argument("--nodes", type=int, default=512,
+                   help="largest Gauss-Legendre rule of the quadrature; rules "
+                        "double from 32 nodes up to min(NODES, 512) (default: 512)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,13 +9,15 @@ C e^(z x), z = lam + i w, whose Caputo derivative has the closed form
     C z^n e^(z a) h^(n - alpha) E_{1, n+1-alpha}(z h)
         = sum_{k>=n} f^(k)(a) h^(k - alpha) / Gamma(k + 1 - alpha),
 
-h = x - a, with E the Mittag-Leffler function.  At an integer order
-alpha = n the derivative is the rest's f^(n)(x) itself, exact, at every
-point.  At a fractional order, wherever rate * h <= 2, rate the largest |z|
-of the rest, ``derivative_many`` sums that series over 26 terms, from the
-exact jets f^(k)(a) (``_series_rows``), with an estimate that bounds its
-rounding and its tail; the method is then SpecialFunction.  At every other
-point, and for a rest that holds a power term, it takes the singular integral
+h = x - a, with E the Mittag-Leffler function; the Riemann-Liouville one is
+the same series from k = 0, C e^(z a) h^(-alpha) E_{1, 1-alpha}(z h).  At
+an integer order alpha = n both are the rest's f^(n)(x) itself, exact, at
+every point.  At a fractional order, wherever rate * h <= 2, rate the
+largest |z| of the rest, ``derivative_many`` sums the series over 26 terms,
+from the exact jets f^(k)(a) (``_series_rows``), with an estimate that
+bounds its rounding and its tail; the method is then SpecialFunction.  At
+every other point, and for a rest that holds a power term, it takes the
+singular integral
 
     (1 / Gamma(n - alpha)) * integral_a^x (x - z)^(n - alpha - 1) f^(n)(z) dz.
 
@@ -26,8 +28,9 @@ samples; it is also the package's fractional integral.  One operator
 application is at most one call of it, one row per fractional order, on the
 f^(n) of that order's derivative count n.  The rows stay float64 arrays up
 to ``derivative_many`` and the reports.
-The Riemann-Liouville operator is the Caputo one plus the RL power rule on
-the Taylor terms f^(k)(a)/k! (x - a)^k, k < n:
+Past the series' reach the Riemann-Liouville operator is the Caputo one
+plus the RL power rule on the Taylor terms, k < n (``_add_taylor_terms``),
+and the method is Bridge:
 
     RL^alpha f = Caputo^alpha f
                  + sum_{k=0}^{n-1} f^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha).
@@ -39,6 +42,7 @@ integral.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -90,7 +94,8 @@ class DerivResult:
 
     ``est_error`` is present exactly when the method is Quadrature or
     SpecialFunction: the estimate of ``singular_integral`` or of the series
-    for the terms of f that went through it.
+    for the terms of f that went through it, for Caputo and RL alike; none
+    for Bridge, whose Taylor terms' rounding is not estimated.
     """
 
     value: float
@@ -306,22 +311,18 @@ def _rate(rest):
     return max(math.hypot(t.lam, t.w) for t in rest.terms)
 
 
-def _jets(rest, a, rate, taylor, top):
-    """The jets of a rest of exponential terms at a, from their closed forms:
-    with p + i q = c z^k, z = lam + i w, as k complex products, the k-th
-    derivative of c e^(lam x) cos(w x + phi) at a is e^(lam a) (p cos -
-    q sin)(w a + phi), and of the sine e^(lam a) (q cos + p sin)(w a + phi).
-    For a pure term (lam or w 0) p and q are ``derivative``'s coefficients,
-    up to the sign of a zero, until one overflows: the jet is then nan where
-    ``derivative`` keeps +-inf, and either way ``_check_finite`` raises
-    DomainError on the row.  Returns (jets, scaled, bound, spread):
-    ``jets[k]`` is rest^(k)(a), k < ``taylor``; ``scaled[k]`` is
-    rest^(k)(a) / rate^k, from the powers of z / rate, and ``bound[k]`` its
-    majorant sum_t |c_t| e^(lam_t a) |z_t / rate|^k, k <= ``top``;
-    ``spread`` is the largest |lam a| or |w a + phi|, the scale of the
-    rounding of the terms' arguments.  OverflowError when an e^(lam a)
-    overflows."""
-    jets, scaled, bound, spread = [0.0] * taylor, [0.0] * (top + 1), [0.0] * (top + 1), 0.0
+def _jets(rest, a, rate, top):
+    """The scaled jets of a rest of exponential terms at a, from their closed
+    forms: with p + i q = c (z / rate)^k, z = lam + i w, as k complex
+    products, rest^(k)(a) / rate^k sums e^(lam a) (p cos - q sin)(w a + phi)
+    over its cosines and e^(lam a) (q cos + p sin)(w a + phi) over its sines.
+    Returns (scaled, bound, spread): ``scaled[k]`` is rest^(k)(a) / rate^k
+    and ``bound[k]`` its majorant sum_t |c_t| e^(lam_t a) |z_t / rate|^k,
+    k <= ``top``, non-increasing in k; ``spread`` is the largest |lam a| or
+    |w a + phi|, the scale of the rounding of the terms' arguments.  A jet
+    whose c e^(lam a) overflows is +-inf or nan.  OverflowError when an
+    e^(lam a) overflows."""
+    scaled, bound, spread = [0.0] * (top + 1), [0.0] * (top + 1), 0.0
     norm = rate or 1.0
     for t in rest.terms:
         lam, w = t.lam, t.w
@@ -329,18 +330,13 @@ def _jets(rest, a, rate, taylor, top):
         s, c = math.sin(arg) * e, math.cos(arg) * e
         cp, cq = (s, c) if t.sine else (c, -s)  # the jet is p * cp + q * cq
         spread = max(spread, abs(lam * a), abs(arg))
-        p, q = t.c, 0.0
-        for k in range(taylor):
-            jets[k] += p * cp + q * cq
-            p, q = p * lam - q * w, p * w + q * lam
-        # the same products with z / rate, and the majorant's terms
         zr, zi, ratio = lam / norm, w / norm, math.hypot(lam, w) / norm
         p, q, size = t.c, 0.0, abs(t.c) * e
         for k in range(top + 1):
             scaled[k] += p * cp + q * cq
             bound[k] += size
             p, q, size = p * zr - q * zi, p * zi + q * zr, size * ratio
-    return jets, scaled, bound, spread
+    return scaled, bound, spread
 
 
 # the exponents 0 .. K of the powers of u in a series
@@ -352,58 +348,63 @@ def _series_rows(rest, rate, orders, a, xs, kind=KIND_CAPUTO):
     ``orders``, at every x in ``xs`` with rate * (x - a) <= _SERIES_REACH, as
     two (orders x points) arrays, the values and their estimates: the series
 
-        sum_{k>=n} rest^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha),
+        sum_{k>=k0} rest^(k)(a) (x - a)^(k - alpha) / Gamma(k + 1 - alpha)
 
-    n = max(ceil(alpha), 0), over _SERIES_TERMS terms, plus for RL the power
-    rule on the Taylor terms rest^(k)(a)/k! (x - a)^k, k < n.  It is summed in
-    u = rate (x - a): a row of coefficients per order, against the powers of
-    u at each point, by elementwise products and a sum over each entry's own
-    terms, so an entry equals its one-point, one-order value bit for bit.
-    The estimate is (K + 4 + spread) eps times the sum of the majorant's
-    terms, plus twice its first omitted term, which bounds the tail: past
-    term K each majorant term is at most u / (K + 1) < 1/13 of the one
-    before.  DomainError when a jet, rate^n or a coefficient overflows."""
+    over _SERIES_TERMS terms, k0 = max(ceil(alpha), 0) for Caputo and 0 for
+    RL.  It is summed in u = rate (x - a): a row of coefficients per order,
+    against the powers of u at each point, by elementwise products and a sum
+    over each entry's own terms, so an entry equals its one-point, one-order
+    value bit for bit.  The estimate is (K + 4 + spread) eps times the sum of
+    the majorant's terms, which take |1/Gamma(k + 1 - alpha)|, plus twice its
+    first omitted term, which bounds the tail: past term K each majorant
+    term is at most u / (K + 1 + k0 - alpha) of the one before, below 1/13
+    for Caputo and at most 1/2 for RL up to order K - 3.  DomainError, with
+    no NumPy warning, when a jet or rate^k0 overflows or a value is not
+    finite."""
     K = _SERIES_TERMS
-    ns = [max(math.ceil(o), 0) for o in orders]
-    exps = [n - o for n, o in zip(ns, orders)]
+    k0s = [max(math.ceil(o), 0) for o in orders] if kind == KIND_CAPUTO else [0] * len(orders)
+    exps = [k0 - o for k0, o in zip(k0s, orders)]
     norm = rate or 1.0
     try:
-        jets, scaled, bound, spread = _jets(rest, a, rate, max(ns) if kind == KIND_RL else 0,
-                                            max(ns) + K)
-        scales = [norm**n for n in ns]
+        scaled, bound, spread = _jets(rest, a, rate, max(k0s) + K)
+        scales = [norm**k0 for k0 in k0s]
     except OverflowError:
         raise DomainError(f"the derivative is not finite at x={xs[0]!r}, a={a!r}") from None
-    # per order, the coefficients rest^(n+j)(a) / (rate^j Gamma(b + j)), j < K,
-    # b = n - alpha + 1, by the recurrence Gamma(b + j + 1) = (b + j) Gamma(b + j),
+    # per order, the coefficients rest^(k0+j)(a) / (rate^j Gamma(b + j)), j < K,
+    # b = k0 - alpha + 1, by the recurrence Gamma(b + j + 1) = (b + j) Gamma(b + j),
     # then those of the majorant, times the rounding factor, and twice its
     # term K, which bounds the tail
     values, bounds = [], []
     rounding = (K + 4 + spread) * _EPS
-    for n, e, s in zip(ns, exps, scales):
+    for k0, e, s in zip(k0s, exps, scales):
         g, b = rgamma(e + 1.0) * s, e + 1.0
         row, major = [], []
         for j in range(K):
-            row.append(scaled[n + j] * g)
-            major.append(bound[n + j] * g * rounding)
+            row.append(scaled[k0 + j] * g)
+            major.append(bound[k0 + j] * abs(g) * rounding)
             g /= b + j
-        # a coefficient that overflowed would make NumPy's sum warn: a finite
-        # Python sum has none, and only a sum that is not finite is searched
-        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-            raise DomainError(f"the derivative is not finite at x={xs[0]!r}, a={a!r}")
+        major.append(2.0 * bound[k0 + K] * abs(g))
         values.append(row + [0.0])
-        bounds.append(major + [2.0 * bound[n + K] * g])
+        bounds.append(major)
+    # every product and partial sum below is at most 2^74 h^e times its row's
+    # majorant sum (2^26 from u^j, 2^48 from 1 / rounding, rounding >= 30 eps):
+    # past 2^900 NumPy's warnings are off, and ``_check_finite`` raises on a
+    # value that is not finite
+    try:
+        top = max(sum(major) * (2.0 / rate if e > 0.0 else min(xs) - a) ** e
+                  for major, e in zip(bounds, exps))
+    except (OverflowError, ZeroDivisionError):
+        top = math.inf
     h = np.array(xs) - a
-    powers_u = np.power.outer(norm * h, _POWERS)
-    # one power call per distinct exponent n - alpha, as a Python float
-    powers = {}
-    for e in exps:
-        if e not in powers:
-            powers[e] = np.power(h, e)
-    sums = (np.array(values + bounds)[:, None, :] * powers_u).sum(axis=2)
-    values, est_errors = sums.reshape(2, len(orders), h.size) * [powers[e] for e in exps]
-    if kind == KIND_RL:
-        _add_taylor_terms(values, jets, orders, ns, a, xs)
-    return values, est_errors
+    with contextlib.nullcontext() if top < 2.0**900 else np.errstate(all="ignore"):
+        powers_u = np.power.outer(rate * h, _POWERS)
+        # one power call per distinct exponent k0 - alpha, as a Python float
+        powers = {}
+        for e in exps:
+            if e not in powers:
+                powers[e] = np.power(h, e)
+        sums = (np.array(values + bounds)[:, None, :] * powers_u).sum(axis=2)
+        return sums.reshape(2, len(orders), h.size) * [powers[e] for e in exps]
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +426,10 @@ def derivative_many(f: FuncExpr, alpha, a: float, xs,
     one ``singular_integral`` call over all those orders, on the rest^(n) of
     each derivative count n, plus for RL the Taylor terms from the
     rest^(k)(a).  The estimates are the rest's (0 when it is empty or the
-    order an integer).  The method is ClosedForm for an empty rest, or
-    Caputo at an integer order; otherwise, for Caputo, SpecialFunction when
-    every point took the series and Quadrature when one took the integral,
-    and Bridge for RL.  DomainError when a value is not finite.
+    order an integer).  The method is ClosedForm for an empty rest or an
+    integer order; otherwise SpecialFunction when every point took the
+    series, and when one took the integral Quadrature for Caputo and Bridge
+    for RL.  DomainError when a value is not finite.
     """
     values, est_errors, methods = _derivative_rows(f, alpha, a, xs, cfg, kind)
     rows = values.tolist(), est_errors.tolist(), methods
@@ -486,12 +487,11 @@ def _rest_rows(rest, orders, a, xs, cfg, kind):
         routes.append((near if far else None,
                        _series_rows(rest, rate, frac_orders, a, points, kind)))
     if far:
-        at_a = ([evaluate(derived[k], a) for k in range(max(frac_ns))]
-                if kind == KIND_RL else None)
         samplers = {n: partial(evaluate_many, derived[n]) for n in frac_ns}
         rows = singular_integral([samplers[n] for n in frac_ns],
                                  [n - o for n, o in zip(frac_ns, frac_orders)], a, far, cfg)
-        if at_a is not None:
+        if kind == KIND_RL:
+            at_a = [evaluate(derived[k], a) for k in range(max(frac_ns))]
             _add_taylor_terms(rows[0], at_a, frac_orders, frac_ns, a, far)
         routes.append(([not is_near for is_near in near] if len(far) < len(xs) else None, rows))
     if not exact and len(routes) == 1:  # one route over every row and column
@@ -504,8 +504,8 @@ def _rest_rows(rest, orders, a, xs, cfg, kind):
             at = frac if cols is None else np.ix_(frac, cols)
             values[at], est_errors[at] = route_values, route_est
     _check_finite(values, a, xs)
-    methods = [METHOD_BRIDGE if kind == KIND_RL else METHOD_CLOSED if o == n
-               else METHOD_QUAD if far else METHOD_SPECIAL for o, n in zip(orders, ns)]
+    methods = [METHOD_CLOSED if o == n else METHOD_SPECIAL if not far
+               else METHOD_BRIDGE if kind == KIND_RL else METHOD_QUAD for o, n in zip(orders, ns)]
     return values, est_errors, methods
 
 
@@ -520,7 +520,7 @@ def caputo_derivative(f: FuncExpr, alpha, a: float, x: float,
 def rl_derivative(f: FuncExpr, alpha, a: float, x: float,
                   cfg: QuadratureConfig = QuadratureConfig()) -> DerivResult:
     """Riemann-Liouville derivative at x: the one-point case of
-    ``derivative_many``, ClosedForm when every term of f takes the power rule
-    and Bridge otherwise."""
-    (value,), _, method = derivative_many(f, alpha, a, (x,), cfg, KIND_RL)
-    return DerivResult(value, KIND_RL, method)
+    ``derivative_many``, with its estimate when the method is
+    SpecialFunction."""
+    (value,), (est,), method = derivative_many(f, alpha, a, (x,), cfg, KIND_RL)
+    return DerivResult(value, KIND_RL, method, est if method in _ESTIMATED else None)

@@ -11,10 +11,10 @@ infinite series
 
 whose k > alpha terms involve fractional *integrals* (negative-order RL
 operators).  The orders alpha - k of a factor are one ``derivative_many``
-call, with at most one quadrature call over all of them, each RL derivative
-the Caputo one plus the RL power rule on the Taylor terms
-f^(j)(a)/j! (x - a)^j.  Every integer derivative f^(k) is one exact
-``derivative`` call.  The series terminates for polynomials and is
+call, with at most one quadrature call over all of them; past the series'
+reach an RL derivative is the Caputo integral plus the RL power rule on the
+Taylor terms f^(j)(a)/j! (x - a)^j.  Every integer derivative f^(k) is one
+exact ``derivative`` call.  The series terminates for polynomials and is
 truncated at K otherwise, with |term_K| reported as the residual.
 """
 

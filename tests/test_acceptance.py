@@ -27,19 +27,18 @@ from fraclim.fracderiv import (
     QuadratureConfig,
     caputo_derivative,
     power_rule,
-    singular_integral,
 )
 from fraclim.funcmodel import (
     FuncExpr,
     PowerTerm,
     derivative,
     evaluate,
-    evaluate_many,
     parse_expr,
 )
 from fraclim.leibniz import leibniz_defect, rl_of_product, symmetrized_series
 from fraclim.lfd import CLASS_FINITE, CLASS_ZERO, ScanConfig, lfd_report
 from fraclim.specfun import FracOrder
+from references import boundary_sum, quadrature
 
 CORPUS_PATH = Path(__file__).resolve().parents[1] / "corpus" / "smooth30.txt"
 ALPHA_GRID = (0.25, 0.5, 0.75, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0)
@@ -52,23 +51,6 @@ SCAN_CFG = ScanConfig(h0=0.1, ratio=0.5, count=26, quad=QuadratureConfig(nodes=1
 INV_GAMMA_3_2 = 1.1283791670955126  # 1/Gamma(1.5) = 2/sqrt(pi), dps=40
 DEFECT_XX_HALF = -0.75225277806367504926  # Gamma(3)/Gamma(2.5) - 2/Gamma(1.5)
 SERIES_XX_HALF = 1.5045055561273501  # 2/Gamma(2.5) = RL^1/2 x^2 at x=1
-
-
-def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
-    """Caputo derivative of f at x by quadrature of the sampled f^(n), for
-    every term, where caputo_derivative would take the power terms centered at
-    a by the power rule: the singular integral of order n - alpha of f^(n)."""
-    fn = derivative(f, order.n)
-    ((value,),), _ = singular_integral([lambda zs: evaluate_many(fn, zs)],
-                                       [order.n - order.alpha], a, (x,), cfg)
-    return float(value)
-
-
-def _boundary_sum(at_a, order, a, x):
-    """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
-    the RL power rule on its Taylor terms f^(k)(a)/k! (x - a)^k."""
-    taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
-    return power_rule(taylor, order.alpha, a, (x,), KIND_RL)[0]
 
 
 def _closed(f, order, a, x):
@@ -144,7 +126,7 @@ def test_criterion_3_quadrature_against_power_rule_oracle():
         f = FuncExpr([PowerTerm(float(c), a, float(k)) for k, c in enumerate(coeffs)])
         x = a + float(rng.uniform(0.5, 1.0))
         exact = _closed(f, order, a, x)
-        err = abs(_quadrature(f, order, a, x) - exact)
+        err = abs(quadrature(f, order, a, x) - exact)
         worst_rel = max(worst_rel, err / abs(exact))
     _verdict(3, worst_rel <= 1e-12,
              f"50 random polynomial cases: worst rel err {worst_rel:.2e} (tol 1e-12)")
@@ -159,7 +141,7 @@ def test_criterion_4_annihilation():
             for c in (1.0, 3.7, -2.25):
                 f = FuncExpr([PowerTerm(c, 0.25, float(k))])
                 closed = _closed(f, order, 0.25, 1.1)
-                quad = _quadrature(f, order, 0.25, 1.1)
+                quad = quadrature(f, order, 0.25, 1.1)
                 ok = ok and closed == 0.0 and abs(quad) <= 1e-10
                 checked += 1
     _verdict(4, ok, f"{checked} monomials below the order ceiling annihilated "
@@ -229,7 +211,7 @@ def test_criterion_7_bridge_consistency():
         alpha = FracOrder(float(rng.uniform(0.1, 2.9)))
         x = a + float(rng.uniform(0.4, 1.2))
         at_a = [evaluate(derivative(f, k), a) for k in range(alpha.n)]
-        got = _closed(f, alpha, a, x) + _boundary_sum(at_a, alpha, a, x)
+        got = _closed(f, alpha, a, x) + boundary_sum(at_a, alpha, a, x)
         want = sum(t.c * power_rule(((1.0, t.beta),), alpha.alpha, a, (x,), KIND_RL)[0]
                    for t in f.terms)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -239,7 +221,7 @@ def test_criterion_7_bridge_consistency():
     want = (power_rule(((1.0, 0.0),), 0.5, 0.0, (1.0,), KIND_RL)[0]
             + power_rule(((1.0, 1.0),), 0.5, 0.0, (1.0,), KIND_RL)[0])
     cap = _closed(f, FracOrder(0.5), 0.0, 1.0)
-    good = cap + _boundary_sum([evaluate(f, 0.0)], FracOrder(0.5), 0.0, 1.0)
+    good = cap + boundary_sum([evaluate(f, 0.0)], FracOrder(0.5), 0.0, 1.0)
     # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
     bad = cap + evaluate(f, 0.0) / math.factorial(0)
     ok = worst <= 1e-8 and abs(good - want) <= 1e-8 and abs(bad - want) > 1e-2

@@ -37,10 +37,11 @@ from fraclim.fracderiv import (
     singular_integral,
     split_powers,
 )
-from fraclim.funcmodel import FuncExpr, PowerTerm, derivative, evaluate_many, parse_expr
+from fraclim.funcmodel import FuncExpr, PowerTerm, parse_expr
 from fraclim.kernels import legendre_rule
 from fraclim.leibniz import leibniz_defect
 from fraclim.specfun import FracOrder
+from references import boundary_sum, quadrature
 
 # frozen references (dps=40)
 CAPUTO_HALF_SIN_AT_01 = 0.35587389434748903496
@@ -64,39 +65,23 @@ EXP = parse_expr("exp(c=1,lam=1)")
 OFF_CENTRE = parse_expr("pow(c=1,x0=-0.5,beta=0.3)")
 
 
-def _quadrature(f, order, a, x, cfg=QuadratureConfig()):
-    """Caputo derivative of f at x by quadrature of the sampled f^(n), for
-    every term, where caputo_derivative would take the power terms centered at
-    a by the power rule: the singular integral of order n - alpha of f^(n)."""
-    fn = derivative(f, order.n)
-    ((value,),), _ = singular_integral([lambda zs: evaluate_many(fn, zs)],
-                                       [order.n - order.alpha], a, (x,), cfg)
-    return float(value)
-
-
-def _boundary_sum(at_a, order, a, x):
-    """RL minus Caputo at x for a function with f^(k)(a) = at_a[k], k < n:
-    the RL power rule on its Taylor terms f^(k)(a)/k! (x - a)^k."""
-    taylor = [(fk / math.factorial(k), k) for k, fk in enumerate(at_a)]
-    return power_rule(taylor, order.alpha, a, (x,), KIND_RL)[0]
-
-
 def _power(beta, a):
     return FuncExpr((PowerTerm(1.0, a, beta),))
 
 
-def _taylor_caputo(terms, alpha, a, x, majorant=False):
+def _taylor_caputo(terms, alpha, a, x, majorant=False, k0=None):
     """mpmath oracle for the Caputo derivative of a sum of ``terms``, each
     (c, lam, w, phi, sine) for c e^(lam x) cos(w x + phi), or sin(w x + phi)
     when ``sine`` is set: the real or imaginary part of c e^(i phi) e^(z x),
     z = lam + i w, with f^(k)(a) from c z^k e^(i phi) e^(z a).  The series
-    sum_{k>=n} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
-    n = max(ceil(alpha), 0), is summed in 40 digits until its terms are below
-    1e-30 of its largest.  A negative alpha gives the fractional integral.
-    With ``majorant``, (the sum, the sum of its terms' bounds
-    sum_t |c_t| |z_t|^k e^(lam_t a) (x-a)^(k-alpha) / Gamma(k+1-alpha))."""
+    sum_{k>=k0} f^(k)(a) (x-a)^(k-alpha) / Gamma(k+1-alpha),
+    k0 = max(ceil(alpha), 0) unless given, is summed in 40 digits until its
+    terms are below 1e-30 of its largest.  A negative alpha gives the
+    fractional integral, and k0 = 0 the RL derivative.  With ``majorant``,
+    (the sum, the sum of its terms' bounds
+    sum_t |c_t| |z_t|^k e^(lam_t a) (x-a)^(k-alpha) / |Gamma(k+1-alpha)|)."""
     with mp.workdps(40):
-        n = max(math.ceil(alpha), 0)
+        n = max(math.ceil(alpha), 0) if k0 is None else k0
         alpha, a, h = mp.mpf(alpha), mp.mpf(a), mp.mpf(x) - mp.mpf(a)
         total, largest, bounds, k = mp.mpf(0), mp.mpf(0), mp.mpf(0), n
         while True:
@@ -107,7 +92,7 @@ def _taylor_caputo(terms, alpha, a, x, majorant=False):
                 fk += jet.imag if sine else jet.real
                 # a bound on the term, as f^(k)(a) may vanish for one k
                 size += abs(mp.mpf(c)) * abs(z) ** k * mp.exp(mp.mpf(lam) * a)
-            bound = size * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
+            bound = size * h ** (k - alpha) / abs(mp.gamma(k + 1 - alpha))
             total += fk * h ** (k - alpha) / mp.gamma(k + 1 - alpha)
             largest, bounds = max(largest, bound), bounds + bound
             if k > n + 2 and bound < mp.mpf(10) ** -30 * largest:
@@ -192,7 +177,7 @@ def test_taylor_terms_annihilate_quadrature(alpha):
     order = FracOrder(alpha)
     for k in range(order.n):
         f = FuncExpr([PowerTerm(3.7, 0.25, float(k))])
-        assert abs(_quadrature(f, order, 0.25, 0.9)) <= 1e-10
+        assert abs(quadrature(f, order, 0.25, 0.9)) <= 1e-10
 
 
 # --- quadrature vs frozen integrals ---
@@ -206,7 +191,7 @@ def test_quadrature_sin_half_order():
                                     abs=2e-9)
     assert r.est_error is not None
     cfg = QuadratureConfig(nodes=1024)
-    assert _quadrature(SIN, FracOrder(0.5), 0.0, 0.1, cfg) == pytest.approx(
+    assert quadrature(SIN, FracOrder(0.5), 0.0, 0.1, cfg) == pytest.approx(
         CAPUTO_HALF_SIN_AT_01, abs=2e-9)
 
 
@@ -223,21 +208,21 @@ def test_series_sin_half_order():
 def test_quadrature_sin_half_order_interior_point():
     r = caputo_derivative(SIN, FracOrder(0.5), 0.0, 0.5, QuadratureConfig(nodes=2048))
     assert r.value == pytest.approx(CAPUTO_HALF_SIN_AT_05, abs=1e-8)
-    quad = _quadrature(SIN, FracOrder(0.5), 0.0, 0.5, QuadratureConfig(nodes=2048))
+    quad = quadrature(SIN, FracOrder(0.5), 0.0, 0.5, QuadratureConfig(nodes=2048))
     assert quad == pytest.approx(CAPUTO_HALF_SIN_AT_05, abs=1e-8)
 
 
 def test_quadrature_exp_against_erf_closed_form():
     r = caputo_derivative(EXP, FracOrder(0.5), 0.0, 1.0, QuadratureConfig(nodes=4096))
     assert r.value == pytest.approx(CAPUTO_HALF_EXP_AT_1, abs=5e-8)
-    quad = _quadrature(EXP, FracOrder(0.5), 0.0, 1.0, QuadratureConfig(nodes=4096))
+    quad = quadrature(EXP, FracOrder(0.5), 0.0, 1.0, QuadratureConfig(nodes=4096))
     assert quad == pytest.approx(CAPUTO_HALF_EXP_AT_1, abs=5e-8)
 
 
 def test_quadrature_order_between_one_and_two():
     r = caputo_derivative(SIN, FracOrder(1.5), 0.0, 0.7, QuadratureConfig(nodes=1024))
     assert r.value == pytest.approx(CAPUTO_3HALF_SIN_AT_07, abs=1e-7)
-    quad = _quadrature(SIN, FracOrder(1.5), 0.0, 0.7, QuadratureConfig(nodes=1024))
+    quad = quadrature(SIN, FracOrder(1.5), 0.0, 0.7, QuadratureConfig(nodes=1024))
     assert quad == pytest.approx(CAPUTO_3HALF_SIN_AT_07, abs=1e-7)
 
 
@@ -293,7 +278,7 @@ def test_quadrature_matches_closed_on_polynomials(degree, alpha, a):
     x = a + 0.8
     exact = caputo_derivative(f, order, a, x)
     assert exact.method == METHOD_CLOSED
-    quad = _quadrature(f, order, a, x, QuadratureConfig(nodes=2048))
+    quad = quadrature(f, order, a, x, QuadratureConfig(nodes=2048))
     assert quad == pytest.approx(exact.value, rel=2e-6, abs=2e-8)
 
 
@@ -342,16 +327,18 @@ def test_quadrature_estimate_covers_the_rounding_of_its_samples():
 
 
 def _check_series(terms, alpha, a, reach, kind=KIND_CAPUTO):
-    """The series at rate (x - a) = reach against the mpmath series: the
-    estimate bounds the error, and is at most 1e-13 of the majorant."""
+    """The series at rate (x - a) = reach against the mpmath series, from
+    k = 0 for RL: the estimate bounds the error, and is at most 1e-13 of the
+    majorant."""
     x = a + reach * 2.0 / _rate(terms)
     while _rate(terms) * (x - a) > 2.0:  # x rounded past the reach
         x = math.nextafter(x, a)
     if not x > a:
         return
     ((value,),), ((est,),), (method,) = derivative_many(_expr(terms), [alpha], a, [x], kind=kind)
-    assert method == (METHOD_SPECIAL if kind == KIND_CAPUTO else METHOD_BRIDGE)
-    exact, majorant = _taylor_caputo(terms, alpha, a, x, majorant=True)
+    assert method == METHOD_SPECIAL
+    exact, majorant = _taylor_caputo(terms, alpha, a, x, majorant=True,
+                                     k0=0 if kind == KIND_RL else None)
     assert abs(value - exact) <= est
     assert est <= 1e-13 * majorant
 
@@ -380,14 +367,34 @@ def test_series_fractional_integral_bounds_the_error(terms, alpha, a, reach):
     _check_series(terms, alpha, a, reach, KIND_RL)
 
 
+@given(_TERMS, _ORDERS, st.floats(-1.0, 1.0), _REACH)
+@settings(max_examples=150, deadline=None)
+def test_series_rl_estimate_bounds_the_error(terms, alpha, a, reach):
+    # a positive RL order: the series from k = 0, whose first terms, the
+    # Taylor terms', alternate in sign at alpha > 1
+    _check_series(terms, alpha, a, reach, KIND_RL)
+
+
+@pytest.mark.parametrize("terms,alpha,x", [
+    ([(1.0, 1.0, 0.0, 0.0, False)], 0.5, 1e-6),  # exp(c=1,lam=1)
+    ([(1.0, 0.0, 1.0, 0.7, True)], 2.5, 1e-4),  # sin(c=1,w=1,phi=0.7)
+])
+def test_rl_series_estimate_bounds_the_error_near_a(terms, alpha, x):
+    # near a the Taylor terms' power rule dominates, and its rounding must be
+    # in the estimate too
+    r = rl_derivative(_expr(terms), alpha, 0.0, x)
+    assert r.method == METHOD_SPECIAL and r.est_error is not None
+    assert abs(r.value - _taylor_caputo(terms, alpha, 0.0, x, k0=0)) <= r.est_error
+
+
 def test_linearity_on_quadrature_route():
     g = parse_expr("pow(c=1,x0=0,beta=2) + sin(c=1,w=1)")
     order = FracOrder(0.5)
     cfg = QuadratureConfig(nodes=512)
-    combined = _quadrature(g, order, 0.0, 0.8, cfg)
+    combined = quadrature(g, order, 0.0, 0.8, cfg)
     parts = (
-        _quadrature(X2, order, 0.0, 0.8, cfg)
-        + _quadrature(SIN, order, 0.0, 0.8, cfg)
+        quadrature(X2, order, 0.0, 0.8, cfg)
+        + quadrature(SIN, order, 0.0, 0.8, cfg)
     )
     assert combined == pytest.approx(parts, rel=1e-12)
 
@@ -426,7 +433,7 @@ ONE_PLUS_X = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
 def test_bridge_matches_rl_closed():
     # Caputo by the power rule plus the boundary sum, against the RL power rule
     got = (caputo_derivative(ONE_PLUS_X, FracOrder(0.5), 0.0, 1.0).value
-           + _boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0))
+           + boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0))
     want = rl_derivative(ONE_PLUS_X, FracOrder(0.5), 0.0, 1.0)
     assert want.method == METHOD_CLOSED and want.kind == KIND_RL
     assert got == pytest.approx(want.value, rel=1e-13)
@@ -439,7 +446,7 @@ def test_bridge_factorial_variant_breaks_the_power_rule():
     # Caputo plus the 1/k! boundary sum: n = 1, so the one term f(0)/0! x^(-1/2)
     bad = cap + 1.0 / math.factorial(0)
     assert abs(bad - want) > 0.1
-    good = cap + _boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0)
+    good = cap + boundary_sum([1.0], FracOrder(0.5), 0.0, 1.0)
     assert good == pytest.approx(want, rel=1e-13)
 
 
@@ -482,7 +489,11 @@ def test_dispatchers_pick_routes():
     assert caputo_derivative(OFF_CENTRE, 0.5, 0.0, 0.1).method == METHOD_QUAD
     assert caputo_derivative(SIN + OFF_CENTRE, 0.5, 0.0, 0.1).method == METHOD_QUAD
     assert rl_derivative(X2, 0.5, 0.0, 1.0).method == METHOD_CLOSED
-    assert rl_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_BRIDGE
+    # RL names its route the same way, with Bridge for the integral plus the
+    # Taylor terms past the reach
+    assert rl_derivative(SIN, 0.5, 0.0, 1.0).method == METHOD_SPECIAL
+    assert rl_derivative(SIN, 0.5, 0.0, 3.0).method == METHOD_BRIDGE
+    assert rl_derivative(SIN, 2.0, 0.0, 3.0).method == METHOD_CLOSED
 
 
 # x^0.3 + 2x + sin: f' and f'' are singular at a = 0, so no quadrature can
@@ -555,10 +566,11 @@ def test_points_straddling_the_series_reach_equal_one_point_calls(f, rate, kind,
         for j, x in enumerate(pts):
             (value,), (est,), method = derivative_many(f, order, 0.0, (x,), kind=kind)
             assert (values[i][j], est_errors[i][j]) == (value, est)
-        # one point past the reach makes the order's method Quadrature
+        # one point past the reach makes the order's method Quadrature, or
+        # Bridge for RL
+        far = METHOD_BRIDGE if kind == KIND_RL else METHOD_QUAD
         one = {derivative_many(f, order, 0.0, (x,), kind=kind)[2] for x in pts}
-        assert methods[i] == (METHOD_QUAD if one == {METHOD_SPECIAL, METHOD_QUAD}
-                              else one.pop())
+        assert methods[i] == (far if one == {METHOD_SPECIAL, far} else one.pop())
 
 
 @pytest.mark.parametrize("kind,orders", [
@@ -648,13 +660,43 @@ def test_non_finite_points_raise(a, x):
         singular_integral([np.cos], [0.5], a, (x,))
 
 
-@pytest.mark.parametrize("derive", [caputo_derivative, rl_derivative])
-def test_series_overflow_raises_domain_error(derive):
+@pytest.mark.parametrize("derive,alpha", [(caputo_derivative, 0.5), (rl_derivative, 1.5)],
+                         ids=["caputo_derivative", "rl_derivative"])
+def test_series_overflow_raises_domain_error(derive, alpha):
     # within the series' reach, the coefficients of sin(c=1e300, w=1e10)
-    # overflow to +-inf: a DomainError naming the point, and no RuntimeWarning,
-    # which this suite turns into an error
+    # overflow to +-inf (Caputo, prescaled by rate^n), or the value does
+    # (RL 1.5): a DomainError naming the point, and no RuntimeWarning, which
+    # this suite turns into an error
     with pytest.raises(DomainError, match=r"x=1e-10,"):
-        derive(parse_expr("sin(c=1e300,w=1e10)"), 0.5, 0.0, 1e-10)
+        derive(parse_expr("sin(c=1e300,w=1e10)"), alpha, 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("derive", [caputo_derivative, rl_derivative])
+def test_series_sum_overflow_raises_domain_error(derive):
+    # finite coefficients whose sum overflows
+    with pytest.raises(DomainError, match=r"x=1.5,"):
+        derive(parse_expr("exp(c=1e308,lam=1)"), 0.5, 0.0, 1.5)
+
+
+@pytest.mark.parametrize("x", [1.0, 1e200])
+def test_constant_exponential_term_at_any_distance(x):
+    # exp(c=1, lam=0) has rate 0, so the series reaches every point: its u is
+    # 0, and no power of x - a = 1e200 overflows
+    f = parse_expr("exp(c=1,lam=0)")
+    assert caputo_derivative(f, 0.5, 0.0, x).value == 0.0
+    r = rl_derivative(f, 0.5, 0.0, x)
+    assert r.method == METHOD_SPECIAL
+    assert r.value == pytest.approx(x**-0.5 / math.gamma(0.5), rel=1e-15)
+
+
+def test_series_value_near_overflow():
+    # RL 0.5 of sin(c=1e300, w=1e10) at 1e-10 is finite, 8.46e304: the series
+    # from k = 0 takes no rate^n
+    r = rl_derivative(parse_expr("sin(c=1e300,w=1e10)"), 0.5, 0.0, 1e-10)
+    exact = _taylor_caputo([(1e300, 0.0, 1e10, 0.0, True)], 0.5, 0.0, 1e-10, k0=0)
+    assert r.method == METHOD_SPECIAL
+    assert exact == pytest.approx(8.46056786724153e+304, rel=1e-14)
+    assert abs(r.value - exact) <= r.est_error
 
 
 def test_empty_point_lists_raise():

@@ -95,7 +95,8 @@ def test_mixed_fractional_power_sum_is_split_by_term():
     r = caputo_derivative(f, 0.7, 0.0, 0.5)
     assert r.method == METHOD_SPECIAL
     assert abs(r.value - MIXED_CAPUTO_07_AT_05) <= 1e-7
-    assert rl_derivative(f, 0.7, 0.0, 0.5).method == METHOD_BRIDGE
+    assert rl_derivative(f, 0.7, 0.0, 0.5).method == METHOD_SPECIAL
+    assert rl_derivative(f, 0.7, 0.0, 2.5).method == METHOD_BRIDGE
     assert lfd_report(f, FracOrder(0.7), 0.0, FAST_CFG).classification.kind == CLASS_DIVERGENT
 
 
