@@ -4,7 +4,7 @@ Subcommands
 -----------
 eval            evaluate a Caputo or Riemann-Liouville derivative at points
 lfd-scan        geometric scan toward the base point + limit classification
-leibniz         product-rule defect / integer-sum / symmetrized-series report
+leibniz         product-rule defect / symmetrized-series report
 verify-theorem  run the limit dichotomy over a corpus file and an alpha grid
 
 Each subcommand parses its arguments, makes its library calls and builds
@@ -44,7 +44,6 @@ from .fracderiv import (
 from .funcmodel import format_expr, parse_expr
 from .leibniz import (
     RULE_SYMMETRIZED,
-    integer_leibniz_report,
     leibniz_defect,
     series_leibniz_report,
 )
@@ -226,10 +225,10 @@ def cmd_leibniz(args) -> int:
     cfg = QuadratureConfig(nodes=args.nodes)
     points = tuple(args.x)
     if args.rule == "defect":
-        report = leibniz_defect(f, g, order, args.a, points, cfg, operator=args.operator)
-    elif args.rule == "integer":
-        report = integer_leibniz_report(f, g, order, points)
-    else:  # series
+        operator = args.operator
+        report = leibniz_defect(f, g, order, args.a, points, cfg, operator=operator)
+    else:  # series: the series and its reference are both RL
+        operator = "rl"
         report = series_leibniz_report(f, g, order, args.a, points, args.k_max, cfg)
     rep = {
         "alpha": report.alpha.alpha,
@@ -246,7 +245,7 @@ def cmd_leibniz(args) -> int:
         "function_g": format_expr(g),
         "a": args.a,
         "rule": args.rule,
-        "operator": args.operator,
+        "operator": operator,
         "report": rep,
     }
     series = report.series_values
@@ -373,10 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--x", type=float, nargs="+", required=True)
-    p.add_argument("--rule", choices=("defect", "integer", "series"),
-                   default="defect")
+    p.add_argument("--rule", choices=("defect", "series"), default="defect")
     p.add_argument("--operator", choices=("caputo", "rl"), default="caputo",
-                   help="operator used by --rule defect")
+                   help="operator of --rule defect (--rule series is RL)")
     p.add_argument("--k-max", type=int, default=None,
                    help="series truncation (default: poly degree sum, else 12)")
     _add_common(p)

@@ -3,19 +3,22 @@
 The classical Leibniz rule D(fg) = (Df)g + f(Dg) holds for no fractional
 order: among all orders alpha > 0 it survives only at alpha = 1.
 ``leibniz_defect`` measures the violation pointwise.  What replaces the rule
-is either the finite binomial sum at integer orders, or the symmetrized
-infinite series
+is the symmetrized infinite series
 
     D^alpha(fg) = sum_k  [Gamma(a+1) / (2 Gamma(a-k+1) Gamma(k+1))]
                         * [ (D^(alpha-k) f) g^(k) + (D^(alpha-k) g) f^(k) ]
 
 whose k > alpha terms involve fractional *integrals* (negative-order RL
-operators).  The orders alpha - k of a factor are one ``derivative_many``
-call, with at most one quadrature call over all of them; past the series'
-reach an RL derivative is the Caputo integral plus the RL power rule on the
-Taylor terms f^(j)(a)/j! (x - a)^j.  Every integer derivative f^(k) is one
+operators).  At an integer order n its binomials vanish past k = n, and it
+is the classical finite sum sum_k C(n, k) f^(n-k) g^(k).  The orders
+alpha - k of a factor are one ``derivative_many`` call, with at most one
+quadrature call over all of them; past the series' reach an RL derivative is
+the Caputo integral plus the RL power rule on the Taylor terms
+f^(j)(a)/j! (x - a)^j.  Every integer derivative f^(k) is one
 exact ``derivative`` call.  The series terminates for polynomials and is
-truncated at K otherwise, with |term_K| reported as the residual.
+truncated at K otherwise, with |term_K| reported as the residual;
+``series_leibniz_report`` compares it with the RL D^alpha(fg) of the product
+route that ``leibniz_defect`` takes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, UnsupportedProduct
+from .exceptions import UnsupportedProduct
 from .fracderiv import (
     KIND_CAPUTO,
     KIND_RL,
@@ -48,21 +51,16 @@ from .funcmodel import (
 from .specfun import FracOrder, _as_count, as_order, frac_binomial
 
 __all__ = [
-    "RULE_INTEGER_SUM",
     "RULE_SYMMETRIZED",
     "RULE_UNVIOLATED",
     "LeibnizReport",
     "SeriesResult",
-    "integer_leibniz",
-    "integer_leibniz_report",
     "leibniz_defect",
-    "rl_of_product",
     "series_leibniz_report",
     "symmetrized_series",
 ]
 
 RULE_UNVIOLATED = "Unviolated"
-RULE_INTEGER_SUM = "IntegerSum"
 RULE_SYMMETRIZED = "SymmetrizedSeries"
 
 _DEFAULT_TRUNCATION = 12
@@ -115,34 +113,24 @@ def _leibniz_sum(fvals, gvals, n):
     return total
 
 
-def _derivatives(h, n):
-    """[h, h', ..., h^(n)], each one exact ``derivative`` call."""
-    return [derivative(h, k) for k in range(n + 1)]
-
-
-def _product_nth_values(fs, gs):
-    """Callable sampling (fg)^(n) via the integer Leibniz expansion of the
-    exact factor derivatives fs = [f, ..., f^(n)] and gs = [g, ..., g^(n)]."""
-
-    def values(zs):
-        return _leibniz_sum([evaluate_many(f, zs) for f in fs],
-                            [evaluate_many(g, zs) for g in gs], len(fs) - 1)
-
-    return values
-
-
 def _d_product(f, g, alpha, a, pts, cfg, kind):
-    """D^alpha(fg) at every point of pts: a product of two polynomials is
-    multiplied out for derivative_many.  Any other takes the Leibniz-expanded
-    (fg)^(n), each f^(j) and g^(j), j <= n, derived once: at an integer order
-    its exact row, otherwise one ``singular_integral`` row of order n - alpha,
-    plus for RL the Taylor terms from the (fg)^(k)(a), k < n."""
+    """D^alpha(fg) at every point of pts: the product route of
+    ``leibniz_defect`` and the RL reference of ``series_leibniz_report``.  A
+    product of two polynomials is multiplied out for derivative_many.  Any
+    other takes the Leibniz-expanded (fg)^(n), each f^(j) and g^(j), j <= n,
+    one exact ``derivative`` call: at an integer order its exact row,
+    otherwise one ``singular_integral`` row of order n - alpha, plus for RL
+    the Taylor terms from the (fg)^(k)(a), k < n."""
     try:
         fg = poly_product(f, g)
     except UnsupportedProduct:
         n = alpha.n
-        fs, gs = _derivatives(f, n), _derivatives(g, n)
-        nth = _product_nth_values(fs, gs)
+        fs, gs = ([derivative(h, k) for k in range(n + 1)] for h in (f, g))
+
+        def nth(zs):
+            return _leibniz_sum([evaluate_many(d, zs) for d in fs],
+                                [evaluate_many(d, zs) for d in gs], n)
+
         if alpha.is_integer:
             values = np.array([nth(pts)])
         else:
@@ -156,19 +144,8 @@ def _d_product(f, g, alpha, a, pts, cfg, kind):
     return derivative_many(fg, alpha, a, pts, cfg, kind)[0]
 
 
-def rl_of_product(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
-                  cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Riemann-Liouville derivative of the product fg (reference side of the
-    symmetrized-series identity)."""
-    alpha = as_order(alpha)
-    a = float(a)
-    x = float(x)
-    _check_interval(a, (x,))
-    return _d_product(f, g, alpha, a, (x,), cfg, KIND_RL)[0]
-
-
 # ---------------------------------------------------------------------------
-# the three rule forms
+# the two rule forms
 
 
 def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
@@ -200,45 +177,6 @@ def leibniz_defect(f: FuncExpr, g: FuncExpr, alpha, a: float, points,
     )
 
 
-def integer_leibniz(f: FuncExpr, g: FuncExpr, n: int, x: float) -> float:
-    """Finite product-rule sum at integer order n:
-    sum_k C(n, k) f^(n-k)(x) g^(k)(x), with exact binomials and derivatives."""
-    n = _as_count(n, "n", positive=True)
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
-    nth = _product_nth_values(_derivatives(f, n), _derivatives(g, n))
-    return float(nth([x])[0])
-
-
-def integer_leibniz_report(f: FuncExpr, g: FuncExpr, alpha, points) -> LeibnizReport:
-    """Pointwise defect (fg)^(n) - integer_leibniz(f, g, n, x) at an integer
-    order n, with (fg)^(n) exact from the expanded product.
-
-    Raises DomainError for a non-integer alpha and UnsupportedProduct unless
-    both factors are polynomials.
-    """
-    alpha = as_order(alpha)
-    if not alpha.is_integer:
-        raise DomainError(f"the integer sum needs an integer alpha, got {alpha.alpha!r}")
-    pts = tuple(float(p) for p in points)
-    if not pts:
-        raise DomainError("need at least one evaluation point")
-    if not all(map(math.isfinite, pts)):
-        raise DomainError(f"evaluation points must be finite, got {pts!r}")
-    exact = derivative(poly_product(f, g), alpha.n)
-    exact_values = [evaluate(exact, x) for x in pts]  # DomainError on overflow
-    sums = _product_nth_values(_derivatives(f, alpha.n), _derivatives(g, alpha.n))(pts).tolist()
-    defects = [e - s for e, s in zip(exact_values, sums)]
-    return LeibnizReport(
-        alpha=alpha,
-        points=pts,
-        defect=tuple(defects),
-        max_abs_defect=max(abs(d) for d in defects),
-        rule_form=RULE_INTEGER_SUM,
-    )
-
-
 def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
                        K: int | None = None,
                        cfg: QuadratureConfig = QuadratureConfig()) -> SeriesResult:
@@ -246,7 +184,7 @@ def symmetrized_series(f: FuncExpr, g: FuncExpr, alpha, a: float, x: float,
 
     K defaults to deg f + deg g for polynomial factors (the series terminates
     there) and to 12 otherwise.  Terms with k > alpha at integer alpha vanish
-    through the binomial coefficient, recovering the finite integer rule.
+    through the binomial coefficient, recovering the classical finite sum.
     """
     alpha = as_order(alpha)
     a = float(a)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output formats, schemas, exit codes."""
 
+import argparse
 import ast
 import csv
 import importlib
@@ -15,8 +16,8 @@ import jsonschema
 import pytest
 
 import fraclim
-from fraclim import schemas
-from fraclim.cli import main, max_threads, read_corpus
+from fraclim import leibniz, schemas
+from fraclim.cli import build_parser, main, max_threads, read_corpus
 from fraclim.exceptions import ExprParseError
 from fraclim.fracderiv import QuadratureConfig
 from fraclim.funcmodel import derivative, evaluate, format_expr, parse_expr
@@ -164,26 +165,15 @@ def test_leibniz_defect_json(capsys):
     assert doc["report"]["defect"][0] == pytest.approx(-0.752252778063675, abs=1e-9)
 
 
-def test_leibniz_integer_rule(capsys):
-    code, out, _ = run(capsys, [
-        "leibniz", "--f", "pow(c=1,x0=0,beta=2)", "--g", "pow(c=1,x0=0,beta=3)",
-        "--alpha", "2", "--a", "0", "--x", "0.7", "1.3", "--rule", "integer",
-        "--output", "json",
-    ])
-    assert code == 0
-    doc = json.loads(out)
-    jsonschema.validate(doc, schemas.load("leibniz_report"))
-    assert doc["report"]["rule_form"] == "IntegerSum"
-    assert doc["report"]["max_abs_defect"] <= 1e-10
-
-
-def test_leibniz_integer_rule_needs_integer_alpha(capsys):
-    code, _, err = run(capsys, [
-        "leibniz", "--f", "pow(c=1,x0=0,beta=2)", "--g", "pow(c=1,x0=0,beta=3)",
-        "--alpha", "1.5", "--a", "0", "--x", "0.7", "--rule", "integer",
-    ])
-    assert code == 3
-    assert "integer" in err
+def test_leibniz_integer_rule_is_a_parse_error(capsys):
+    # at an integer order --rule series is the classical finite sum
+    with pytest.raises(SystemExit) as exc:
+        main(["leibniz", "--f", "pow(c=1,x0=0,beta=2)", "--g", "pow(c=1,x0=0,beta=3)",
+              "--alpha", "2", "--a", "0", "--x", "0.7", "--rule", "integer"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --rule: invalid choice: 'integer'" in captured.err
 
 
 @pytest.mark.filterwarnings("error")
@@ -268,10 +258,6 @@ ROUND_TRIPS = {
         ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "0.5",
          "--a", "0", "--x", "0.4", "1.2", "--operator", "rl"],
         "leibniz_report", ["x", "defect"], _leibniz_rows),
-    "leibniz-integer": (
-        ["leibniz", "--f", "pow(c=1,x0=0,beta=2)", "--g", "pow(c=1,x0=0,beta=3)",
-         "--alpha", "2", "--a", "0", "--x", "0.7", "1.3", "--rule", "integer"],
-        "leibniz_report", ["x", "defect"], _leibniz_rows),
     "leibniz-series": (
         ["leibniz", "--f", "sin(c=1,w=1)", "--g", "exp(c=1,lam=2)", "--alpha", "1.5",
          "--a", "0", "--x", "0.4", "1.2", "--rule", "series", "--k-max", "9"],
@@ -299,6 +285,8 @@ def test_output_round_trips(capsys, case, output):
             # the partial sums sit beside the report, not inside it
             assert len(doc["series_values"]) == len(doc["report"]["points"])
             assert "series_values" not in doc["report"]
+            # the series and its reference are both RL, whatever --operator says
+            assert doc["operator"] == "rl"
         return
     code, out, err = run(capsys, argv + ["--output", "csv"])
     assert code == 0, err
@@ -680,6 +668,44 @@ def test_every_export_exists(module):
             "caputo_power_coefficient", "derivative_many", "power_rule",
             "rl_derivative", "singular_integral", "split_powers",
         }
+    if module == "fraclim.leibniz":
+        # one rule per question: a re-added integer rule or product alias must fail here
+        assert set(mod.__all__) == {
+            "RULE_SYMMETRIZED", "RULE_UNVIOLATED", "LeibnizReport", "SeriesResult",
+            "leibniz_defect", "series_leibniz_report", "symmetrized_series",
+        }
+
+
+def test_leibniz_rules_match_the_schema():
+    # the --rule choices are the schema's rule enum, and the RULE_* constants
+    # its rule_form enum
+    schema = schemas.load("leibniz_report")
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    rule = next(a for a in sub.choices["leibniz"]._actions if a.dest == "rule")
+    assert list(rule.choices) == schema["properties"]["rule"]["enum"] == ["defect", "series"]
+    forms = schema["definitions"]["leibniz_report"]["properties"]["rule_form"]["enum"]
+    assert sorted(v for k, v in vars(leibniz).items() if k.startswith("RULE_")) == sorted(forms)
+
+
+def test_every_module_level_import_is_used():
+    # a module-level import that its module never reads is dead code; a name
+    # that the module lists in __all__ is a re-export
+    pkg = Path(fraclim.__file__).resolve().parent
+    unused = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        unused += [(path.name, name) for name in imported if name not in read | exported]
+    assert unused == []
 
 
 def test_only_the_cli_formats_output():

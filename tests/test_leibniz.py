@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fraclim.fracderiv
 import fraclim.leibniz
-from fraclim.exceptions import DomainError, UnsupportedProduct
+from fraclim.exceptions import DomainError
 from fraclim.fracderiv import (
     KIND_RL,
     METHOD_CLOSED,
@@ -35,13 +35,9 @@ from fraclim.funcmodel import (
     poly_product,
 )
 from fraclim.leibniz import (
-    RULE_INTEGER_SUM,
     RULE_SYMMETRIZED,
     RULE_UNVIOLATED,
-    integer_leibniz,
-    integer_leibniz_report,
     leibniz_defect,
-    rl_of_product,
     series_leibniz_report,
     symmetrized_series,
 )
@@ -126,9 +122,7 @@ def test_non_finite_points_raise(a, x):
     with pytest.raises(DomainError):
         symmetrized_series(X, SIN, FracOrder(0.5), a, x)
     with pytest.raises(DomainError):
-        rl_of_product(SIN, SIN, FracOrder(1.0), a, x)
-    with pytest.raises(DomainError):
-        integer_leibniz(SIN, SIN, 1, math.nan)
+        series_leibniz_report(X, SIN, FracOrder(0.5), a, (0.5, x))
 
 
 def test_defect_quadrature_product_route():
@@ -139,31 +133,6 @@ def test_defect_quadrature_product_route():
     # cross-check against an independent arbitrary-precision evaluation of
     # D(fg) - (Df)g - f(Dg), frozen at dps=40
     assert rep.defect[0] == pytest.approx(-0.75271306970113917305, abs=1e-6)
-
-
-def test_integer_leibniz_matches_product_derivative():
-    fg = poly_product(X2, X2)  # x^4
-    for n, x in ((1, 0.7), (2, 1.2), (3, 0.4)):
-        direct = integer_leibniz(X2, X2, n, x)
-        assert direct == pytest.approx(evaluate(derivative(fg, n), x), rel=1e-12)
-
-
-def test_integer_leibniz_validation():
-    with pytest.raises(DomainError):
-        integer_leibniz(X, X, 0, 1.0)
-    with pytest.raises(DomainError):
-        integer_leibniz(X, X, 1.5, 1.0)
-
-
-def test_integer_leibniz_report():
-    rep = integer_leibniz_report(X2, X2, FracOrder(3.0), (0.4, 1.2))
-    assert rep.rule_form == RULE_INTEGER_SUM
-    assert rep.points == (0.4, 1.2)
-    assert rep.max_abs_defect <= 1e-12
-    with pytest.raises(DomainError):
-        integer_leibniz_report(X2, X2, FracOrder(1.5), (0.4,))
-    with pytest.raises(UnsupportedProduct):
-        integer_leibniz_report(X2, SIN, FracOrder(1.0), (0.4,))
 
 
 # --- symmetrized series ---
@@ -201,14 +170,15 @@ def test_series_exact_for_polynomial_pairs():
         )
         alpha = FracOrder(float(rng.uniform(0.1, 2.9)))
         x = a + float(rng.uniform(0.4, 1.2))
-        sr = symmetrized_series(f, g, alpha, a, x)
-        ref = rl_of_product(f, g, alpha, a, x)
-        assert sr.value == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        rep = series_leibniz_report(f, g, alpha, a, (x,))
+        # the RL reference minus the series
+        assert rep.defect[0] == pytest.approx(
+            0.0, abs=1e-10 * max(1.0, abs(rep.series_values[0])))
 
 
 def test_series_collapses_to_product_rule_at_integer_order():
     sr = symmetrized_series(X2, SIN, FracOrder(1.0), 0.0, 0.8, K=8)
-    exact = integer_leibniz(X2, SIN, 1, 0.8)
+    exact = 2.0 * 0.8 * math.sin(0.8) + 0.8**2 * math.cos(0.8)  # (x^2 sin x)'
     assert sr.value == pytest.approx(exact, rel=1e-12)
 
 
@@ -240,8 +210,8 @@ def test_series_report_matches_pointwise_calls():
     assert rep.rule_form == RULE_SYMMETRIZED
     assert rep.points == pts
     assert rep.series_values == tuple(sr.value for sr in series)
-    assert rep.defect == tuple(rl_of_product(SIN, EXP, FracOrder(1.5), 0.0, x) - sr.value
-                               for x, sr in zip(pts, series))
+    assert rep.defect == tuple(series_leibniz_report(SIN, EXP, FracOrder(1.5), 0.0, (x,),
+                                                     K=9).defect[0] for x in pts)
     assert rep.max_abs_defect == max(abs(d) for d in rep.defect)
     assert rep.truncation_K == 9
     assert rep.series_residual == max(sr.residual for sr in series)
@@ -250,13 +220,14 @@ def test_series_report_matches_pointwise_calls():
         series_leibniz_report(SIN, EXP, 0.5, 0.0, (0.3, -1.0))
 
 
-def test_rl_of_product_matches_closed_form():
-    # (1 + x)^2 expanded against the term-by-term RL power rule
+def test_rl_defect_matches_closed_form():
+    # (1 + x)^2 expanded against the term-by-term RL power rule; f = g = 2 at x = 1
     one_plus_x = parse_expr("pow(c=1,x0=0,beta=0) + pow(c=1,x0=0,beta=1)")
-    got = rl_of_product(one_plus_x, one_plus_x, FracOrder(0.5), 0.0, 1.0)
-    want = rl_derivative(poly_product(one_plus_x, one_plus_x), FracOrder(0.5), 0.0, 1.0)
-    assert want.method == METHOD_CLOSED
-    assert got == pytest.approx(want.value, rel=1e-12)
+    rep = leibniz_defect(one_plus_x, one_plus_x, FracOrder(0.5), 0.0, (1.0,), operator="rl")
+    d_fg = rl_derivative(poly_product(one_plus_x, one_plus_x), FracOrder(0.5), 0.0, 1.0)
+    d_f = rl_derivative(one_plus_x, FracOrder(0.5), 0.0, 1.0)
+    assert d_fg.method == d_f.method == METHOD_CLOSED
+    assert rep.defect[0] == pytest.approx(d_fg.value - 2.0 * 2.0 * d_f.value, rel=1e-12)
 
 
 # --- the product route against mpmath on pairs poly_product cannot expand ---
@@ -292,18 +263,22 @@ def _mp_caputo(hn, alpha, a, x):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
-def test_rl_of_product_exp_exp_against_mpmath(alpha):
-    # e^x e^x: the integral of the Leibniz-expanded (fg)^(n) with n boundary
-    # values, or at alpha = 2 its exact row
+def test_rl_defect_exp_exp_against_mpmath(alpha):
+    # e^x e^x: D(fg) is the integral of the Leibniz-expanded (fg)^(n) with n
+    # boundary values, or at alpha = 2 its exact row; at x = 1 the defect is
+    # D(e^2x) - 2 e D(e^x)
     with mp.workdps(30):
-        want = _mp_rl(lambda t: mp.exp(2 * t), alpha, 0, mp.mpf(1))
-    got = rl_of_product(EXP, EXP, alpha, 0.0, 1.0, QuadratureConfig(nodes=4096))
+        d_fg = _mp_rl(lambda t: mp.exp(2 * t), alpha, 0, mp.mpf(1))
+        want = d_fg - 2 * mp.e * _mp_rl(mp.exp, alpha, 0, mp.mpf(1))
+    got = leibniz_defect(EXP, EXP, alpha, 0.0, (1.0,), QuadratureConfig(nodes=4096),
+                         operator="rl").defect[0]
     assert got == pytest.approx(float(want), rel=1e-7)
     if alpha == 0.5:
-        assert float(want) == pytest.approx(RL_HALF_EXP2X_AT_1, rel=1e-15)
+        assert float(d_fg) == pytest.approx(RL_HALF_EXP2X_AT_1, rel=1e-15)
     if alpha == 2.0:
-        # integer order: exactly (fg)''(x) = 4 e^2, the boundary terms all vanish
-        assert got == pytest.approx(4.0 * math.exp(2.0), rel=1e-14)
+        # integer order: exactly (fg)'' - 2 f'' g = 4 e^2 - 2 e^2, the boundary
+        # terms all vanish
+        assert got == pytest.approx(2.0 * math.exp(2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
@@ -331,10 +306,11 @@ def test_caputo_defect_sin_exp_against_mpmath(alpha):
 )
 @settings(max_examples=50, deadline=None)
 def test_integer_leibniz_property(n, x):
+    # at an integer order the series is the classical finite sum, (fg)^(n)
     f = parse_expr("pow(c=1,x0=0,beta=2) + pow(c=1,x0=0,beta=0)")
     g = parse_expr("pow(c=2,x0=0,beta=3) + pow(c=-1,x0=0,beta=1)")
     fg = poly_product(f, g)
-    assert integer_leibniz(f, g, n, x) == pytest.approx(
+    assert symmetrized_series(f, g, n, 0.0, x).value == pytest.approx(
         evaluate(derivative(fg, n), x), rel=1e-10, abs=1e-10
     )
 
@@ -504,9 +480,10 @@ def test_rl_product_samples_each_factor_derivative_once_at_a(monkeypatch):
 
 
 def test_products_derive_each_factor_once(derivative_builds):
-    rl_of_product(SIN, EXP, 2.5, 0.0, 1.0)
-    # f^(k) and g^(k), k = 1..3, once each, for the sampler of (fg)^(3) and
-    # the boundary values (fg)^(k)(a) alike
+    leibniz_defect(SIN, EXP, 2.5, 0.0, (1.0,), operator="rl")
+    # D^alpha f and D^alpha g take the series and derive nothing; f^(k) and
+    # g^(k), k = 1..3, once each, for the sampler of (fg)^(3) and the boundary
+    # values (fg)^(k)(a) alike
     assert derivative_builds == [1, 2, 3, 1, 2, 3]
     for op in ("caputo", "rl"):
         for f in (SIN, X2 + SIN):
@@ -521,10 +498,6 @@ def test_products_derive_each_factor_once(derivative_builds):
         # past the series' reach D^alpha f and D^alpha g also derive f^(3) and
         # g^(3), and for RL f^(k) and g^(k), k < 3, for the boundary values
         assert len(derivative_builds) == {"caputo": 8, "rl": 12}[op]
-    derivative_builds.clear()
-    integer_leibniz_report(X2, POLY, 2, (0.3, 0.9, 1.6))
-    # (fg)'' plus f', f'' and g', g'', whatever the number of points
-    assert derivative_builds == [2, 1, 2, 1, 2]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.5])
@@ -540,8 +513,7 @@ def test_series_derives_each_factor_once(derivative_builds, alpha):
     lambda k: derivative(SIN, k),
     lambda k: frac_binomial(0.5, k),
     lambda k: symmetrized_series(SIN, EXP, 0.5, 0.0, 1.0, K=k),
-    lambda k: integer_leibniz(SIN, EXP, k, 1.0),
-], ids=["derivative", "frac_binomial", "symmetrized_series", "integer_leibniz"])
+], ids=["derivative", "frac_binomial", "symmetrized_series"])
 def test_a_count_that_is_not_an_integer_is_a_domain_error(call, count):
     with pytest.raises(DomainError, match=f"integer, got {count!r}$"):
         call(count)
